@@ -44,14 +44,23 @@ analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
     }
 
 #if !defined(EMPROF_DISABLE_SIMD)
-    if (batchPipelineActive())
-        return detail::analyzeChunkBatchAvx2(data, dataBegin, begin,
-                                             end, is_final, config,
-                                             fastMath);
-#endif
+    ChunkResult result =
+        batchPipelineActive()
+            ? detail::analyzeChunkBatchAvx2(data, dataBegin, begin, end,
+                                            is_final, config, fastMath)
+            : detail::analyzeChunkStreaming(data, dataBegin, begin, end,
+                                            is_final, config);
+#else
     (void)fastMath;
-    return detail::analyzeChunkStreaming(data, dataBegin, begin, end,
-                                         is_final, config);
+    ChunkResult result = detail::analyzeChunkStreaming(
+        data, dataBegin, begin, end, is_final, config);
+#endif
+    // classifyStall is a pure function of the event and the config, so
+    // classifying before the stitch gives the same bits as after it,
+    // and keeps the work on the workers instead of the serial tail.
+    for (auto &ev : result.events)
+        classifyStall(ev, config);
+    return result;
 }
 
 namespace detail {

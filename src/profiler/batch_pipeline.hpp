@@ -33,7 +33,9 @@
  *
  * analyzeChunkAuto dispatches: AVX2 kernel when compiled in, the CPU
  * has AVX2 and EMPROF_SIMD does not force "scalar"; the streaming
- * reference otherwise.
+ * reference otherwise.  It then classifies the chunk's events
+ * (classifyStall), so classification runs on the workers; the two
+ * detail:: implementations leave events unclassified.
  *
  * fastMath (opt-in, --fast-math-simd): the classic kernel's exact-path
  * normalisation runs in single precision (8-wide float divide) instead
@@ -70,7 +72,7 @@ struct ChunkResult
     uint64_t begin = 0;
     uint64_t end = 0;
     std::vector<double> prefixNorms;
-    std::vector<StallEvent> events;  // raw dips, unclassified
+    std::vector<StallEvent> events;  // dips; Auto classifies them
     std::vector<SignalBlock> blocks; // quality blocks owned here
     DipDetector::DipState open;      // dip still open at chunk end
 };
@@ -80,7 +82,8 @@ bool batchPipelineActive();
 
 /**
  * Analyse samples [begin, end) of a chunk; dispatches to the AVX2
- * batch kernel or the streaming reference (see file comment).
+ * batch kernel or the streaming reference (see file comment) and
+ * classifies the resulting events.
  *
  * @param data Sample storage; data[i - dataBegin] is global sample i.
  *        Must cover at least [begin - halo, end), where the halo is

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <future>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -51,19 +52,20 @@ recordParallelGauges(std::size_t workers, std::size_t chunk,
 }
 
 /**
- * Sequential tail shared by both parallel paths: feed the pool-ordered
- * chunk results through the incremental stitcher (see stitch.hpp), then
- * classify / quarantine / report.  The serving path drives the same
- * ChunkStitcher one chunk at a time as uploads arrive.
+ * Sequential tail shared by both parallel paths: move the pool-ordered
+ * chunk results (already classified on the workers) into the
+ * incremental stitcher (see stitch.hpp), then quarantine / report.  The
+ * serving path drives the same ChunkStitcher one chunk at a time as
+ * uploads arrive.
  */
 ProfileResult
-finalizeChunks(const std::vector<ChunkResult> &chunks,
-               const EmProfConfig &config, uint64_t total_samples)
+finalizeChunks(std::vector<ChunkResult> &&chunks, const EmProfConfig &config,
+               uint64_t total_samples)
 {
     EMPROF_OBS_STAGE("analyze.stitch");
     ChunkStitcher stitcher(config);
-    for (const auto &chunk : chunks)
-        stitcher.feed(chunk);
+    for (auto &chunk : chunks)
+        stitcher.feed(std::move(chunk));
     return stitcher.finalize(total_samples);
 }
 
@@ -132,7 +134,7 @@ ParallelAnalyzer::analyze(const dsp::TimeSeries &magnitude,
             f.get();
     }
 
-    return finalizeChunks(results, config, n);
+    return finalizeChunks(std::move(results), config, n);
 }
 
 bool
@@ -243,7 +245,7 @@ ParallelAnalyzer::analyzeCapture(const store::CaptureReader &reader,
         return false;
     }
 
-    out = finalizeChunks(results, config, n);
+    out = finalizeChunks(std::move(results), config, n);
     return true;
 }
 

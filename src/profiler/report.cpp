@@ -41,6 +41,33 @@ countAttributed(const ProfileReport &report)
             static_cast<uint64_t>(report.meanLevelConfidence * 1000.0));
 }
 
+/**
+ * dsp::percentileSorted(sort(values), p) without the sort: place the
+ * two order statistics percentileSorted reads (ranks lo and lo + 1) at
+ * their sorted positions, then let it interpolate.  @p from marks the
+ * start of the still-unordered tail; everything before it is no larger
+ * than anything after it, so calls with ascending @p p narrow the
+ * search left to right.  The top rank is a max_element.
+ */
+double
+selectPercentile(std::vector<double> &values, double p, std::size_t &from)
+{
+    const std::size_t last = values.size() - 1;
+    const double rank =
+        std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(last);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    for (const std::size_t k : {lo, std::min(lo + 1, last)}) {
+        const auto begin = values.begin() + static_cast<std::ptrdiff_t>(from);
+        const auto nth = values.begin() + static_cast<std::ptrdiff_t>(k);
+        if (k == last)
+            std::iter_swap(std::max_element(begin, values.end()), nth);
+        else
+            std::nth_element(begin, nth, values.end());
+        from = k;
+    }
+    return dsp::percentileSorted(values, p);
+}
+
 } // namespace
 
 ProfileReport
@@ -90,15 +117,16 @@ makeReport(const std::vector<StallEvent> &events, double sample_rate_hz,
     }
     if (!latencies.empty()) {
         report.avgStallCycles = dsp::mean(latencies);
-        // One sort serves every percentile; four percentile() calls
-        // would copy and sort the latency vector four times, a serial
-        // tail that caps the parallel analyzer's speedup on
-        // event-dense captures.
-        std::sort(latencies.begin(), latencies.end());
-        report.medianStallCycles = dsp::percentileSorted(latencies, 50.0);
-        report.p95StallCycles = dsp::percentileSorted(latencies, 95.0);
-        report.p99StallCycles = dsp::percentileSorted(latencies, 99.0);
-        report.maxStallCycles = dsp::percentileSorted(latencies, 100.0);
+        // Linear-time selection instead of an O(n log n) sort: the
+        // report sits on the parallel analyzer's serial tail, and on
+        // event-dense captures sorting every latency dominated it.
+        // The values read are the same order statistics, so every bit
+        // matches the sorted form.
+        std::size_t from = 0;
+        report.medianStallCycles = selectPercentile(latencies, 50.0, from);
+        report.p95StallCycles = selectPercentile(latencies, 95.0, from);
+        report.p99StallCycles = selectPercentile(latencies, 99.0, from);
+        report.maxStallCycles = selectPercentile(latencies, 100.0, from);
     }
     return report;
 }

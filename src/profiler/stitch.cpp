@@ -1,5 +1,7 @@
 #include "profiler/stitch.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
 #include "profiler/report.hpp"
@@ -26,11 +28,12 @@ ChunkStitcher::emitCarry()
                    ? 0.0
                    : carry_.depthSum /
                          static_cast<double>(carry_.depthCount);
-    events_.push_back(ev);
+    classifyStall(ev, config_);
+    pieces_.push_back(Piece{{ev}, 0});
 }
 
-void
-ChunkStitcher::feed(const ChunkResult &chunk)
+std::size_t
+ChunkStitcher::carryOver(const ChunkResult &chunk)
 {
     uint64_t first_valid = chunk.begin;
     if (carry_.inDip) {
@@ -54,16 +57,42 @@ ChunkStitcher::feed(const ChunkResult &chunk)
         // chunk can have produced neither events nor an open dip of
         // its own that starts outside the prefix.
     }
-    if (!carry_.inDip) {
-        for (const auto &ev : chunk.events)
-            if (ev.startSample >= first_valid)
-                events_.push_back(ev);
-        if (chunk.open.inDip && chunk.open.start >= first_valid)
-            carry_ = chunk.open;
-    }
     if (config_.signal.enabled)
         blocks_.insert(blocks_.end(), chunk.blocks.begin(),
                        chunk.blocks.end());
+    if (carry_.inDip)
+        return chunk.events.size();
+    if (chunk.open.inDip && chunk.open.start >= first_valid)
+        carry_ = chunk.open;
+    // Events are in start order, so those starting inside the replayed
+    // prefix are a leading run.
+    const auto kept = std::find_if(
+        chunk.events.begin(), chunk.events.end(),
+        [first_valid](const StallEvent &ev) {
+            return ev.startSample >= first_valid;
+        });
+    return static_cast<std::size_t>(kept - chunk.events.begin());
+}
+
+void
+ChunkStitcher::feed(const ChunkResult &chunk)
+{
+    const std::size_t skip = carryOver(chunk);
+    if (skip == chunk.events.size())
+        return;
+    pieces_.push_back(Piece{
+        {chunk.events.begin() + static_cast<std::ptrdiff_t>(skip),
+         chunk.events.end()},
+        0});
+}
+
+void
+ChunkStitcher::feed(ChunkResult &&chunk)
+{
+    const std::size_t skip = carryOver(chunk);
+    if (skip == chunk.events.size())
+        return;
+    pieces_.push_back(Piece{std::move(chunk.events), skip});
 }
 
 ProfileResult
@@ -77,11 +106,30 @@ ChunkStitcher::finalize(uint64_t totalSamples)
     }
     finalized_ = true;
 
+    // Splice the pieces into one vector sized up front, freeing each
+    // as soon as it is copied; a lone piece is moved in whole.
     ProfileResult result;
-    result.events = std::move(events_);
-    events_.clear();
-    for (auto &ev : result.events)
-        classifyStall(ev, config_);
+    if (pieces_.size() == 1) {
+        auto &events = pieces_.front().events;
+        events.erase(events.begin(),
+                     events.begin() +
+                         static_cast<std::ptrdiff_t>(pieces_.front().skip));
+        result.events = std::move(events);
+    } else {
+        std::size_t total = 0;
+        for (const auto &piece : pieces_)
+            total += piece.events.size() - piece.skip;
+        result.events.reserve(total);
+        for (auto &piece : pieces_) {
+            result.events.insert(
+                result.events.end(),
+                piece.events.begin() +
+                    static_cast<std::ptrdiff_t>(piece.skip),
+                piece.events.end());
+            std::vector<StallEvent>().swap(piece.events);
+        }
+    }
+    pieces_.clear();
     SignalQualitySummary quality;
     if (config_.signal.enabled)
         quality = applySignalQuality(result.events, blocks_,

@@ -7,11 +7,19 @@
  * per contiguous span of samples.  ChunkStitcher consumes those results
  * *in order* and maintains exactly the state the streaming detector
  * would have had at each chunk boundary: the open-dip carry, the event
- * list so far, and the quality blocks.  finalize() then classifies,
- * applies the signal-quality layer and builds the report in the same
- * order as EmProf::finish(), so the stitched result is bit-identical to
- * the streaming path no matter how the input was cut into chunks — or
- * how long the gaps between feed() calls were.
+ * list so far, and the quality blocks.  finalize() then applies the
+ * signal-quality layer and builds the report in the same order as
+ * EmProf::finish(), so the stitched result is bit-identical to the
+ * streaming path no matter how the input was cut into chunks — or how
+ * long the gaps between feed() calls were.
+ *
+ * Chunk events arrive classified (analyzeChunkAuto classifies on the
+ * worker); the stitcher classifies only the dips it emits itself —
+ * those carried across a boundary and the one flushed at the end.  The
+ * event list is kept as pieces, one per chunk, spliced together once in
+ * finalize(): the rvalue feed() takes a chunk's event vector without
+ * copying it, and the carry rule only ever drops a leading run of a
+ * chunk's events, which a piece records as a count.
  *
  * This is the piece that makes analysis *resumable*: a server session
  * can feed a chunk, go idle for seconds while the next upload frame
@@ -27,6 +35,7 @@
 #ifndef EMPROF_PROFILER_STITCH_HPP
 #define EMPROF_PROFILER_STITCH_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,17 +56,19 @@ class ChunkStitcher
   public:
     explicit ChunkStitcher(const EmProfConfig &config);
 
-    /** Merge one chunk's result into the running streaming state. */
+    /** Merge one chunk's result into the running streaming state;
+     *  the chunk's surviving events are copied. */
     void feed(const ChunkResult &chunk);
 
+    /** As above, but takes the chunk's event vector without copying. */
+    void feed(ChunkResult &&chunk);
+
     /**
-     * Flush the open dip (same rule as EmProf::finish()), classify,
-     * apply signal quality, and build the report over @p totalSamples.
+     * Flush the open dip (same rule as EmProf::finish()), splice the
+     * pieces, apply signal quality, and build the report over
+     * @p totalSamples.
      */
     ProfileResult finalize(uint64_t totalSamples);
-
-    /** Events completed so far (pre-classification, pre-finalize). */
-    const std::vector<StallEvent> &events() const { return events_; }
 
     /** Samples of chunk prefixes replayed into carried dips so far. */
     uint64_t replayedSamples() const { return replayedSamples_; }
@@ -66,11 +77,24 @@ class ChunkStitcher
     uint64_t carriedDips() const { return carriedDips_; }
 
   private:
+    /** A run of the final event list: events[skip..] in order. */
+    struct Piece
+    {
+        std::vector<StallEvent> events;
+        std::size_t skip = 0;
+    };
+
+    /**
+     * Advance the carry over @p chunk and take its quality blocks.
+     * @return How many leading chunk events the carry rule drops.
+     */
+    std::size_t carryOver(const ChunkResult &chunk);
+
     void emitCarry();
 
     EmProfConfig config_;
     uint64_t minDuration_;
-    std::vector<StallEvent> events_;
+    std::vector<Piece> pieces_;
     std::vector<SignalBlock> blocks_;
     DipDetector::DipState carry_;
     uint64_t carriedDips_ = 0;

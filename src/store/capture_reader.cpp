@@ -309,12 +309,22 @@ bool
 CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
                            std::string *error) const
 {
-    EMPROF_OBS_STAGE("store.decode_chunk");
     if (!isOpen() || i >= index_.size())
         return fail(error, "chunk index out of range");
+    out.resize(index_[i].sampleCount);
+    std::vector<uint8_t> stored;
+    return decodeChunk(i, out.data(), stored, error);
+}
+
+bool
+CaptureReader::decodeChunk(std::size_t i, dsp::Sample *out,
+                           std::vector<uint8_t> &stored,
+                           std::string *error) const
+{
+    EMPROF_OBS_STAGE("store.decode_chunk");
     const ChunkIndexEntry &entry = index_[i];
 
-    std::vector<uint8_t> stored(entry.storedBytes);
+    stored.resize(entry.storedBytes);
     if (!preadAt(entry.fileOffset, stored.data(), stored.size(),
                  "chunk body", error))
         return false;
@@ -336,11 +346,10 @@ CaptureReader::decodeChunk(std::size_t i, std::vector<dsp::Sample> &out,
                     "chunk " + std::to_string(i) + " CRC mismatch");
     }
 
-    out.resize(entry.sampleCount);
     if (!store::decodeChunk(payload, payload_bytes,
                             static_cast<ChunkEncoding>(header.encoding),
-                            info_.codec, header.scale, out.size(),
-                            out.data()))
+                            info_.codec, header.scale, entry.sampleCount,
+                            out))
         return fail(error, "chunk " + std::to_string(i) +
                                " payload malformed");
     if (obs::MetricsRegistry::enabled()) {
@@ -372,21 +381,33 @@ CaptureReader::readRange(uint64_t first, uint64_t count,
     if (count == 0)
         return true;
 
+    // Chunks wholly inside the range decode straight into `out`; only
+    // the partly covered ones at either end go through `scratch`.  One
+    // stored-bytes buffer serves every chunk of the call.
+    const uint64_t last = first + count;
+    std::vector<uint8_t> stored;
     std::vector<dsp::Sample> scratch;
     uint64_t cursor = first;
     std::size_t ci = chunkContaining(first);
-    while (cursor < first + count) {
+    while (cursor < last) {
         const ChunkIndexEntry &entry = index_[ci];
-        if (!decodeChunk(ci, scratch, error))
-            return false;
-        const uint64_t lo = cursor - entry.firstSample;
-        const uint64_t hi = std::min<uint64_t>(
-            entry.sampleCount, first + count - entry.firstSample);
-        std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
-                  scratch.begin() + static_cast<std::ptrdiff_t>(hi),
-                  out.begin() +
-                      static_cast<std::ptrdiff_t>(cursor - first));
-        cursor = entry.firstSample + hi;
+        const uint64_t entry_end = entry.firstSample + entry.sampleCount;
+        dsp::Sample *dest = out.data() + (cursor - first);
+        if (entry.firstSample >= first && entry_end <= last) {
+            if (!decodeChunk(ci, dest, stored, error))
+                return false;
+            cursor = entry_end;
+        } else {
+            scratch.resize(entry.sampleCount);
+            if (!decodeChunk(ci, scratch.data(), stored, error))
+                return false;
+            const uint64_t lo = cursor - entry.firstSample;
+            const uint64_t hi = std::min(entry_end, last) - entry.firstSample;
+            std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
+                      scratch.begin() + static_cast<std::ptrdiff_t>(hi),
+                      dest);
+            cursor = entry.firstSample + hi;
+        }
         ++ci;
     }
     return true;

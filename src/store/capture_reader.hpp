@@ -159,6 +159,15 @@ class CaptureReader
     /** Read + fully validate the 72-byte file header. */
     bool loadHeader(FileHeader &header, std::string *error);
 
+    /**
+     * decodeChunk() into @p out (room for the chunk's sample count),
+     * reading the stored bytes through @p stored so a caller decoding
+     * many chunks reuses one buffer.  @p i must be in range.
+     */
+    bool decodeChunk(std::size_t i, dsp::Sample *out,
+                     std::vector<uint8_t> &stored,
+                     std::string *error) const;
+
     /** Positioned read at @p offset; thread-safe. */
     bool preadAt(uint64_t offset, void *buf, std::size_t len,
                  const char *context, std::string *error) const;

@@ -96,6 +96,17 @@ struct BitWriter
     }
 };
 
+/**
+ * LSB-first bit reader.  While at least 8 payload bytes remain, a
+ * refill is one unaligned little-endian 8-byte load that tops the
+ * accumulator up with as many whole bytes as fit; near the end it
+ * falls back to one byte at a time.  Either way a read fails exactly
+ * when the bits left in the accumulator plus the unread bytes cannot
+ * cover it, so a malformed payload is rejected at the same read as a
+ * byte-at-a-time reader would.  Bits above `bits` in the accumulator
+ * are the low bits of byte *p, loaded early; OR-ing that byte in again
+ * leaves them unchanged.
+ */
 struct BitReader
 {
     const uint8_t *p;
@@ -106,11 +117,22 @@ struct BitReader
     bool
     get(unsigned width, uint64_t &v)
     {
-        while (bits < width) {
-            if (p == end)
-                return false;
-            acc |= static_cast<uint64_t>(*p++) << bits;
-            bits += 8;
+        if (bits < width) {
+            if (end - p >= 8) {
+                uint64_t word;
+                std::memcpy(&word, p, sizeof(word));
+                acc |= word << bits;
+                const unsigned bytes = (63 - bits) >> 3;
+                p += bytes;
+                bits += 8 * bytes;
+            } else {
+                while (bits < width) {
+                    if (p == end)
+                        return false;
+                    acc |= static_cast<uint64_t>(*p++) << bits;
+                    bits += 8;
+                }
+            }
         }
         v = width == 0 ? 0 : acc & (~uint64_t{0} >> (64 - width));
         acc >>= width;
@@ -118,13 +140,49 @@ struct BitReader
         return true;
     }
 
+    /** Drop the partly read byte and hand back the unread whole bytes
+     *  a word refill took early. */
     void
     byteAlign()
     {
+        p -= bits >> 3;
         acc = 0;
         bits = 0;
     }
 };
+
+/**
+ * The miniblocks after the first value (out[0] = @p prev).  Templated
+ * on the codec so the per-sample range check and conversion compile to
+ * straight-line code.
+ */
+template <SampleCodec Codec>
+bool
+decodePacked(BitReader &reader, std::size_t count, float scale,
+             int64_t prev, dsp::Sample *out)
+{
+    for (std::size_t g = 1; g < count; g += kMiniblock) {
+        const std::size_t n = std::min(kMiniblock, count - g);
+        if (reader.p == reader.end)
+            return false;
+        const unsigned width = *reader.p++;
+        if (width > kMaxWidth)
+            return false;
+        for (std::size_t i = g; i < g + n; ++i) {
+            uint64_t z;
+            if (!reader.get(width, z))
+                return false;
+            prev += unzigzag(z);
+            if (!intInRange(prev, Codec))
+                return false;
+            out[i] = intToSample(prev, Codec, scale);
+        }
+        reader.byteAlign();
+    }
+    // The encoder emits exactly this many bytes; anything trailing is
+    // corruption the CRC may have missed only in adversarial settings.
+    return reader.p == reader.end;
+}
 
 } // namespace
 
@@ -266,27 +324,11 @@ decodeChunk(const uint8_t *payload, std::size_t payloadBytes,
     out[0] = intToSample(prev, codec, scale);
 
     BitReader reader{payload + 8, payload + payloadBytes};
-    for (std::size_t g = 1; g < count; g += kMiniblock) {
-        const std::size_t n = std::min(kMiniblock, count - g);
-        if (reader.p == reader.end)
-            return false;
-        const unsigned width = *reader.p++;
-        if (width > kMaxWidth)
-            return false;
-        for (std::size_t i = g; i < g + n; ++i) {
-            uint64_t z;
-            if (!reader.get(width, z))
-                return false;
-            prev += unzigzag(z);
-            if (!intInRange(prev, codec))
-                return false;
-            out[i] = intToSample(prev, codec, scale);
-        }
-        reader.byteAlign();
-    }
-    // The encoder emits exactly this many bytes; anything trailing is
-    // corruption the CRC may have missed only in adversarial settings.
-    return reader.p == reader.end;
+    return codec == SampleCodec::F32
+               ? decodePacked<SampleCodec::F32>(reader, count, scale, prev,
+                                                out)
+               : decodePacked<SampleCodec::QuantI16>(reader, count, scale,
+                                                     prev, out);
 }
 
 } // namespace emprof::store
