@@ -28,7 +28,7 @@ batchPipelineActive()
 ChunkResult
 analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
                  uint64_t begin, uint64_t end, bool is_final,
-                 const EmProfConfig &config, bool fastMath)
+                 const EmProfConfig &config)
 {
     // Per-worker chunk timing: the span carries the worker's thread
     // number, the stage histogram aggregates the distribution.
@@ -47,11 +47,10 @@ analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
     ChunkResult result =
         batchPipelineActive()
             ? detail::analyzeChunkBatchAvx2(data, dataBegin, begin, end,
-                                            is_final, config, fastMath)
+                                            is_final, config)
             : detail::analyzeChunkStreaming(data, dataBegin, begin, end,
                                             is_final, config);
 #else
-    (void)fastMath;
     ChunkResult result = detail::analyzeChunkStreaming(
         data, dataBegin, begin, end, is_final, config);
 #endif
@@ -93,10 +92,7 @@ analyzeChunkStreaming(const dsp::Sample *data, uint64_t dataBegin,
     MovingMinMaxNormalizer classic(window, config.minContrast);
     AdaptiveNormalizer adaptive(
         resilient ? window : 1, resilient ? config.smootherSamples() : 1,
-        config.signal.driftToleranceFraction > 0.0
-            ? config.signal.driftToleranceFraction
-            : 0.05,
-        config.minContrast);
+        config.driftTolerance(), config.minContrast);
     const auto norm = [&](double x) {
         return resilient ? adaptive.push(x) : classic.push(x);
     };

@@ -36,14 +36,6 @@
  * reference otherwise.  It then classifies the chunk's events
  * (classifyStall), so classification runs on the workers; the two
  * detail:: implementations leave events unclassified.
- *
- * fastMath (opt-in, --fast-math-simd): the classic kernel's exact-path
- * normalisation runs in single precision (8-wide float divide) instead
- * of double.  Normalised values then differ from the reference by at
- * most ~2 float ULP (relative ~2.4e-7), so a sample whose normalised
- * value lies within that margin of the enter/exit threshold can flip a
- * dip boundary by one sample.  The resilient kernel ignores the flag
- * (its log-grid snap is already the cost centre, not the divide).
  */
 
 #ifndef EMPROF_PROFILER_BATCH_PIPELINE_HPP
@@ -90,12 +82,10 @@ bool batchPipelineActive();
  *        min(begin, config.haloSamples()).
  * @param is_final True for the last chunk, which additionally owns the
  *        trailing partial quality block.
- * @param fastMath Allow the reduced-precision normalise (see above).
  */
 ChunkResult analyzeChunkAuto(const dsp::Sample *data, uint64_t dataBegin,
                              uint64_t begin, uint64_t end, bool is_final,
-                             const EmProfConfig &config,
-                             bool fastMath = false);
+                             const EmProfConfig &config);
 
 namespace detail {
 
@@ -111,8 +101,7 @@ ChunkResult analyzeChunkStreaming(const dsp::Sample *data,
 ChunkResult analyzeChunkBatchAvx2(const dsp::Sample *data,
                                   uint64_t dataBegin, uint64_t begin,
                                   uint64_t end, bool is_final,
-                                  const EmProfConfig &config,
-                                  bool fastMath);
+                                  const EmProfConfig &config);
 #endif
 
 } // namespace detail

@@ -2,9 +2,9 @@
  * @file
  * Parallel chunked batch analysis of recorded captures.
  *
- * A recorded capture is split into contiguous chunks; every chunk is
+ * A recorded capture is split into contiguous spans; every span is
  * normalised and dip-detected independently on a thread pool, and a
- * sequential stitch pass merges dips that straddle chunk boundaries.
+ * sequential stitch pass merges dips that straddle span boundaries.
  * The result is *bit-identical* to the streaming path (EmProf::analyze)
  * — same events, same sample indices, same depths — at N× real time on
  * N cores.  See DESIGN.md, "Parallel analysis & threading model", for
@@ -13,19 +13,23 @@
  * Two properties make exact equivalence possible:
  *
  *  1. Normalisation is a pure function of a bounded history: the value
- *     at sample i depends only on the last normWindowSamples() raw
- *     samples.  Each chunk therefore re-feeds a "halo" of that many
- *     preceding samples into a fresh normaliser before its own range,
+ *     at sample i depends only on the last haloSamples() raw samples.
+ *     Each span therefore re-feeds a "halo" of that many preceding
+ *     samples into a fresh normaliser before its own range,
  *     reproducing the streaming envelope exactly.
  *
- *  2. The dip detector's cross-chunk dependence collapses at the first
+ *  2. The dip detector's cross-span dependence collapses at the first
  *     normalised sample above the exit threshold: whatever the incoming
  *     state was, the detector is guaranteed "not in a dip" right after
- *     it.  Each chunk records its *prefix* (the leading run of samples
+ *     it.  Each span records its *prefix* (the leading run of samples
  *     at or below exit) so the stitcher can replay those samples into a
- *     dip left open by the previous chunk, sample for sample, in
+ *     dip left open by the previous span, sample for sample, in
  *     order — preserving even the floating-point summation order of
  *     the depth accumulator.
+ *
+ * Both entry points plan spans and hand them to one shared runner; a
+ * short input or a single worker is simply one span analysed inline,
+ * and an empty input is zero spans.
  */
 
 #ifndef EMPROF_PROFILER_PARALLEL_ANALYZER_HPP
@@ -50,86 +54,44 @@ struct ParallelAnalyzerConfig
     std::size_t threads = 0;
 
     /**
-     * Chunk length in samples; 0 picks one automatically (one span per
-     * effective worker — static partitioning — floored at eight
-     * normalisation windows so the halo re-normalisation overhead
-     * stays small).  An explicit value always runs the chunk + stitch
-     * machinery, even on one worker (tests use tiny chunks to exercise
-     * boundary stitching regardless of core count).
+     * Span length in samples; 0 picks one automatically (one span per
+     * effective worker — static partitioning — floored at
+     * EmProfConfig::minSpanSamples() so the halo re-normalisation
+     * overhead stays small).  An explicit value always runs that
+     * decomposition, even on one worker (tests use tiny spans to
+     * exercise boundary stitching regardless of core count).
      */
     std::size_t chunkSamples = 0;
-
-    /**
-     * With automatic chunking, inputs shorter than this run on the
-     * plain streaming path — the pool spin-up and halo overhead would
-     * dwarf any speedup.  Ignored when chunkSamples is set explicitly.
-     */
-    std::size_t minParallelSamples = 1u << 20;
-
-    /**
-     * Allow the batch kernel's reduced-precision (single-precision
-     * divide) normalisation on the classic path.  Off by default:
-     * results are then bit-identical to streaming.  When on, normalised
-     * values may differ from the reference by ~2 float ULP, which can
-     * move a dip boundary by one sample in razor-edge cases (see
-     * batch_pipeline.hpp).
-     */
-    bool fastMathSimd = false;
 };
 
 /**
- * Batch analyzer producing streaming-identical events from recorded
- * captures using a pool of worker threads.
+ * Analyse a whole recorded magnitude series.
+ *
+ * The series' own sample rate overrides config.sampleRateHz, as in
+ * EmProf::analyze.
  */
-class ParallelAnalyzer
-{
-  public:
-    explicit ParallelAnalyzer(ParallelAnalyzerConfig config = {});
-
-    /**
-     * Analyse a whole recorded magnitude series.
-     *
-     * The series' own sample rate overrides config.sampleRateHz, as in
-     * EmProf::analyze.  Falls back to the streaming path when the input
-     * is short or only one thread is available.
-     */
-    ProfileResult analyze(const dsp::TimeSeries &magnitude,
-                          EmProfConfig config) const;
-
-    /**
-     * Analyse an EMCAP capture straight off disk.
-     *
-     * Each worker seeks to its own span of chunks via the footer index
-     * and decodes them concurrently with everyone else's dip
-     * detection — the capture is never materialised in one buffer, so
-     * peak memory is O(threads * task span), and decode overlaps
-     * analysis instead of serialising in a front-end loader.  The
-     * events are bit-identical to readAll() + analyze() (and therefore
-     * to the streaming path) for every thread count and chunk layout.
-     *
-     * The capture's sample rate overrides config.sampleRateHz; its
-     * clock is NOT applied to config (callers decide, since a command
-     * line may override the recorded clock).
-     *
-     * @retval false A chunk failed its CRC or decode; @p error (if
-     *         non-null) says which.
-     */
-    bool analyzeCapture(const store::CaptureReader &reader,
-                        EmProfConfig config, ProfileResult &out,
-                        std::string *error = nullptr) const;
-
-    const ParallelAnalyzerConfig &config() const { return config_; }
-
-  private:
-    ParallelAnalyzerConfig config_;
-};
-
-/** One-shot convenience wrapper around ParallelAnalyzer. */
 ProfileResult analyzeParallel(const dsp::TimeSeries &magnitude,
                               EmProfConfig config,
                               ParallelAnalyzerConfig parallel = {});
 
-/** One-shot convenience wrapper for EMCAP captures. */
+/**
+ * Analyse an EMCAP capture straight off disk.
+ *
+ * Spans are aligned to stored chunks; each worker reads its own span
+ * plus halo via the footer index and decodes it concurrently with
+ * everyone else's dip detection — the capture is never materialised in
+ * one buffer, so peak memory is O(threads * span), and decode overlaps
+ * analysis instead of serialising in a front-end loader.  The events
+ * are bit-identical to readAll() + analyze() (and therefore to the
+ * streaming path) for every thread count and chunk layout.
+ *
+ * The capture's sample rate overrides config.sampleRateHz; its clock
+ * is NOT applied to config (callers decide, since a command line may
+ * override the recorded clock).
+ *
+ * @retval false The config is invalid, or a chunk failed its CRC or
+ *         decode; @p error (if non-null) says which.
+ */
 bool analyzeCaptureParallel(const store::CaptureReader &reader,
                             EmProfConfig config, ProfileResult &out,
                             ParallelAnalyzerConfig parallel = {},

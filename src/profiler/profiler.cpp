@@ -1,31 +1,12 @@
 #include "profiler/profiler.hpp"
 
 #include <cmath>
+#include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
+#include "profiler/stitch.hpp"
 
 namespace emprof::profiler {
-
-namespace {
-
-// Sample/event totals are added once per batch (never per sample) so
-// the streaming hot loop stays untouched.
-void
-countAnalyzed(uint64_t samples, std::size_t events)
-{
-    if (!obs::MetricsRegistry::enabled())
-        return;
-    auto &registry = obs::MetricsRegistry::instance();
-    static const obs::Counter samples_processed =
-        registry.counter("profiler.samples_processed");
-    static const obs::Counter events_emitted =
-        registry.counter("profiler.events_emitted");
-    samples_processed.add(samples);
-    events_emitted.add(events);
-}
-
-} // namespace
 
 bool
 EmProfConfig::validate(std::string *why) const
@@ -167,19 +148,10 @@ EmProf::EmProf(const EmProfConfig &config)
       // never pushed; size it trivially so it costs no memory.
       adaptive_(config.signal.enabled ? config.normWindowSamples() : 1,
                 config.signal.enabled ? config.smootherSamples() : 1,
-                config.signal.driftToleranceFraction > 0.0
-                    ? config.signal.driftToleranceFraction
-                    : 0.05,
-                config.minContrast),
+                config.driftTolerance(), config.minContrast),
       blockLen_(config.signal.enabled ? config.qualityBlockSamples()
                                       : 0)
 {}
-
-void
-EmProf::classify(StallEvent &ev) const
-{
-    classifyStall(ev, config_);
-}
 
 double
 EmProf::pushResilient(double magnitude)
@@ -206,7 +178,7 @@ EmProf::push(dsp::Sample magnitude)
     ++samples_;
     StallEvent ev;
     if (detector_.push(normalized, ev)) {
-        classify(ev);
+        classifyStall(ev, config_);
         events_.push_back(ev);
         if (callback_)
             callback_(events_.back());
@@ -218,27 +190,22 @@ EmProf::push(dsp::Sample magnitude)
 ProfileResult
 EmProf::finish()
 {
-    StallEvent ev;
-    if (detector_.finish(ev)) {
-        classify(ev);
-        events_.push_back(ev);
-    }
-
-    ProfileResult result;
-    result.events = events_;
-    SignalQualitySummary quality;
+    // The stream so far is one chunk: its classified events, its
+    // quality blocks (plus the trailing partial one) and the dip still
+    // open; the stitcher flushes that dip under its duration rule.
+    ChunkResult whole;
+    whole.end = samples_;
+    whole.events = events_;
     if (resilient_) {
+        whole.blocks = blocks_;
         if (samples_ > 0)
-            blocks_.push_back(
+            whole.blocks.push_back(
                 blockAcc_.finish(samples_, config_.signal));
-        quality = applySignalQuality(result.events, blocks_,
-                                     config_.detectorConfig(),
-                                     config_.signal, samples_);
     }
-    result.report = makeReport(result.events, config_.sampleRateHz,
-                               config_.clockHz, samples_);
-    result.report.quality = quality;
-    return result;
+    whole.open = detector_.state();
+    ChunkStitcher stitcher(config_);
+    stitcher.feed(std::move(whole));
+    return stitcher.finalize(samples_);
 }
 
 ProfileResult
@@ -250,9 +217,7 @@ EmProf::analyze(const dsp::TimeSeries &magnitude, EmProfConfig config)
     EmProf prof(config);
     for (dsp::Sample s : magnitude.samples)
         prof.push(s);
-    ProfileResult result = prof.finish();
-    countAnalyzed(prof.samplesSeen(), result.events.size());
-    return result;
+    return prof.finish();
 }
 
 } // namespace emprof::profiler

@@ -134,6 +134,16 @@ struct EmProfConfig
             std::clamp<uint64_t>(half, 2, 16));
     }
 
+    /** Derived: the adaptive normaliser's drift tolerance (0.05 when
+     *  unset). */
+    double
+    driftTolerance() const
+    {
+        return signal.driftToleranceFraction > 0.0
+                   ? signal.driftToleranceFraction
+                   : 0.05;
+    }
+
     /** Derived: quality-block length in samples. */
     std::size_t
     qualityBlockSamples() const
@@ -181,6 +191,18 @@ struct EmProfConfig
     }
 
     /**
+     * Derived: the shortest span worth analysing on its own — eight
+     * envelope windows, so re-feeding one window of halo per span
+     * costs at most ~12% of the span's work.  Floors the parallel
+     * analyzer's automatic spans and the serving session's default.
+     */
+    std::size_t
+    minSpanSamples() const
+    {
+        return 8 * normWindowSamples();
+    }
+
+    /**
      * Check the config for values that would poison the analysis
      * (non-finite or non-positive rates, inverted hysteresis, negative
      * durations).  classifyStall and makeReport divide by
@@ -215,8 +237,7 @@ struct ProfileResult
 /**
  * Convert a raw dip (sample indices + depth) into a classified stall:
  * duration in ns and cycles, ordinary miss vs. refresh-coincident.
- * Shared by the streaming facade and the parallel analyzer so both
- * paths classify identically.
+ * Shared by every analysis path so all of them classify identically.
  */
 void classifyStall(StallEvent &ev, const EmProfConfig &config);
 
@@ -251,10 +272,15 @@ class EmProf
         callback_ = std::move(callback);
     }
 
-    /** Flush any open dip and build the final report. */
+    /**
+     * Flush any open dip and build the final report.  The whole stream
+     * goes through ChunkStitcher as one chunk, so the end-of-input
+     * flush, quality layer and report are the chunked paths' own.
+     */
     ProfileResult finish();
 
-    /** Events completed so far (valid before finish() too). */
+    /** Events completed so far; a dip still open at finish() is
+     *  flushed into its result only. */
     const std::vector<StallEvent> &events() const { return events_; }
 
     /** Samples consumed so far. */
@@ -270,21 +296,7 @@ class EmProf
     static ProfileResult analyze(const dsp::TimeSeries &magnitude,
                                  EmProfConfig config);
 
-    /**
-     * Batch convenience: analyse a recorded series on @p threads
-     * worker threads (0 = hardware concurrency), producing events
-     * bit-identical to analyze().  Short inputs fall back to the
-     * streaming path automatically; see profiler/parallel_analyzer.hpp
-     * for chunk-level control.  Implemented in parallel_analyzer.cpp.
-     */
-    static ProfileResult analyzeParallel(const dsp::TimeSeries &magnitude,
-                                         EmProfConfig config,
-                                         std::size_t threads = 0);
-
   private:
-    /** Convert a raw dip into a classified stall event. */
-    void classify(StallEvent &ev) const;
-
     /** Resilient-path per-sample work (adaptive norm + block stats). */
     double pushResilient(double magnitude);
 

@@ -7,9 +7,10 @@
  * per contiguous span of samples.  ChunkStitcher consumes those results
  * *in order* and maintains exactly the state the streaming detector
  * would have had at each chunk boundary: the open-dip carry, the event
- * list so far, and the quality blocks.  finalize() then applies the
- * signal-quality layer and builds the report in the same order as
- * EmProf::finish(), so the stitched result is bit-identical to the
+ * list so far, and the quality blocks.  finalize() then flushes the
+ * open dip, applies the signal-quality layer and builds the report —
+ * EmProf::finish() runs the same finalize() over the whole stream as
+ * one chunk — so the stitched result is bit-identical to the
  * streaming path no matter how the input was cut into chunks — or how
  * long the gaps between feed() calls were.
  *
@@ -26,10 +27,10 @@
  * crosses the network, and feed the next — the stitcher carries the
  * detector state across feeds with no buffered samples at all.
  *
- * Extracted from ParallelAnalyzer (which now drives it with
- * pool-ordered results) so the one-shot and served paths share one
- * stitch implementation.  See DESIGN.md §8 for the carry/replay
- * argument and §14 for the serving pipeline built on top.
+ * The offline span runner (parallel_analyzer.cpp) drives it with
+ * pool-ordered results, so the streaming, offline and served paths
+ * share one stitch implementation.  See DESIGN.md §8 for the
+ * carry/replay argument and §14 for the serving pipeline built on top.
  */
 
 #ifndef EMPROF_PROFILER_STITCH_HPP
@@ -64,8 +65,8 @@ class ChunkStitcher
     void feed(ChunkResult &&chunk);
 
     /**
-     * Flush the open dip (same rule as EmProf::finish()), splice the
-     * pieces, apply signal quality, and build the report over
+     * Flush the open dip (same rule as DipDetector::finish()), splice
+     * the pieces, apply signal quality, and build the report over
      * @p totalSamples.
      */
     ProfileResult finalize(uint64_t totalSamples);

@@ -43,7 +43,7 @@ SessionPipeline::onHeader(std::string *error)
                                  why);
     if (spanSamples_ == 0)
         spanSamples_ = std::max(store::kDefaultChunkSamples,
-                                8 * config_.normWindowSamples());
+                                config_.minSpanSamples());
     stitcher_.emplace(config_);
     return true;
 }

@@ -54,7 +54,7 @@ class SessionPipeline
      *        header records one (> 0) and @p honourCaptureClock —
      *        mirroring emprof_analyze's defaults.
      * @param spanSamples Analysis span length; 0 picks
-     *        max(kDefaultChunkSamples, 8 norm windows).  Tests use
+     *        max(kDefaultChunkSamples, minSpanSamples()).  Tests use
      *        tiny spans to force mid-upload analysis.
      */
     explicit SessionPipeline(const profiler::EmProfConfig &base,

@@ -10,7 +10,7 @@
  *  - decodeChunk() checks the chunk's CRC and decodes it — it is
  *    `const` and uses positioned reads (pread), so any number of
  *    threads may decode different chunks of one reader concurrently;
- *    this is what lets ParallelAnalyzer overlap decode with analysis.
+ *    this is what lets analyzeCaptureParallel overlap decode with analysis.
  *  - readRange() seeks straight to the covering chunks via the footer
  *    index: O(1) per lookup plus one decode per touched chunk.
  *  - verify() walks every byte of the file against its CRC and reports

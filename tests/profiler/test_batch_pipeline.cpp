@@ -138,7 +138,7 @@ compareChunk(const std::vector<dsp::Sample> &x, uint64_t begin,
     const ChunkResult ref = detail::analyzeChunkStreaming(
         x.data(), 0, begin, end, is_final, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
-        x.data(), 0, begin, end, is_final, config, /*fastMath=*/false);
+        x.data(), 0, begin, end, is_final, config);
     expectSameResult(ref, simd, what);
 }
 
@@ -243,7 +243,7 @@ TEST(BatchPipeline, AutoDispatchMatchesExplicitKernel)
     const ChunkResult autoR =
         analyzeChunkAuto(x.data(), 0, 500, 3500, false, config);
     const ChunkResult simd = detail::analyzeChunkBatchAvx2(
-        x.data(), 0, 500, 3500, false, config, false);
+        x.data(), 0, 500, 3500, false, config);
     expectSameResult(autoR, simd, "auto vs explicit");
 }
 #endif // !EMPROF_DISABLE_SIMD
@@ -280,33 +280,6 @@ TEST(BatchPipeline, ParallelMatchesStreamingEndToEnd)
         }
         EXPECT_EQ(ref.report.totalStallCycles,
                   par.report.totalStallCycles);
-    }
-}
-
-TEST(BatchPipeline, FastMathStaysWithinUlpBound)
-{
-    // fastMath relaxes the classic normalise to single precision; dips
-    // planted far from the thresholds must still come out identically,
-    // and every normalised depth must agree to the documented ~2 float
-    // ULP relative bound.
-    dsp::TimeSeries series;
-    series.sampleRateHz = 1e6;
-    series.samples = makeSignal(40000, 0xfa57);
-
-    const EmProfConfig config = configWithWindow(160);
-    const ProfileResult ref = EmProf::analyze(series, config);
-
-    ParallelAnalyzerConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.chunkSamples = 9001;
-    pcfg.fastMathSimd = true;
-    const ProfileResult fast = analyzeParallel(series, config, pcfg);
-
-    ASSERT_EQ(ref.events.size(), fast.events.size());
-    for (std::size_t i = 0; i < ref.events.size(); ++i) {
-        EXPECT_EQ(ref.events[i].startSample, fast.events[i].startSample);
-        EXPECT_EQ(ref.events[i].endSample, fast.events[i].endSample);
-        EXPECT_NEAR(ref.events[i].depth, fast.events[i].depth, 1e-5);
     }
 }
 

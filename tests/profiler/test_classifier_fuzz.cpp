@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "dsp/rng.hpp"
+#include "profiler/parallel_analyzer.hpp"
 #include "profiler/profiler.hpp"
 
 namespace emprof::profiler {
@@ -187,7 +188,9 @@ TEST(ClassifierFuzz, StreamingAndParallelAgreeOnEveryLabelBit)
         }
 
         const auto streaming = EmProf::analyze(sig, cfg);
-        const auto parallel = EmProf::analyzeParallel(sig, cfg, 3);
+        ParallelAnalyzerConfig pcfg;
+        pcfg.threads = 3;
+        const auto parallel = analyzeParallel(sig, cfg, pcfg);
 
         ASSERT_EQ(streaming.events.size(), parallel.events.size())
             << "seed " << seed;

@@ -155,25 +155,22 @@ TEST(ParallelAnalyzer, RandomizedDipsAcrossChunkSizesAndThreads)
     }
 }
 
-TEST(ParallelAnalyzer, SingleThreadAndShortInputFallBackToStreaming)
+TEST(ParallelAnalyzer, SingleThreadAndShortInputRunAsOneSpan)
 {
     auto sig = busySignal(20000, 77);
     writeDip(sig, 5000, 8);
     writeDip(sig, 15000, 8);
     const auto streaming = EmProf::analyze(sig, testConfig());
 
-    // threads == 1 takes the streaming path outright.
+    // threads == 1 analyses the whole input as one span, inline.
     ParallelAnalyzerConfig one;
     one.threads = 1;
     expectIdentical(analyzeParallel(sig, testConfig(), one), streaming);
 
-    // Auto chunking on a short input falls back too (and the facade
-    // default must match it).
+    // Auto chunking on a short input: spans floored at eight windows.
     ParallelAnalyzerConfig aut;
     aut.threads = 4;
     expectIdentical(analyzeParallel(sig, testConfig(), aut), streaming);
-    expectIdentical(EmProf::analyzeParallel(sig, testConfig(), 4),
-                    streaming);
 }
 
 TEST(ParallelAnalyzer, RefreshClassificationSurvivesStitching)

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dsp/rng.hpp"
+#include "profiler/dip_detector.hpp"
+#include "profiler/normalizer.hpp"
 #include "profiler/profiler.hpp"
 
 namespace emprof::profiler {
@@ -28,6 +32,14 @@ makeSignal(double rate_hz, const std::vector<std::pair<std::size_t,
             s.samples[i] = static_cast<float>(stall);
     }
     return s;
+}
+
+uint64_t
+bits(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
 }
 
 EmProfConfig
@@ -155,6 +167,70 @@ TEST(EmProf, ConfigDerivedQuantities)
     cfg.minDurationFloorSamples = 1;
     cfg.sampleRateHz = 40e6;
     EXPECT_EQ(cfg.minDurationSamples(), 2u);
+}
+
+TEST(EmProf, FinishFlushesTrailingDipLikeTheDetector)
+{
+    // The signal ends 40 samples into a dip.  finish() hands the open
+    // dip to the stitcher's flush; pin that flush against a bare
+    // DipDetector::finish() over the same normalised samples, so the
+    // end-of-input rule cannot drift with the stitcher.
+    const EmProfConfig cfg = testConfig();
+    const auto sig = makeSignal(40e6, {{3000, 20}, {9960, 40}}, 10000);
+    const auto result = EmProf::analyze(sig, cfg);
+
+    MovingMinMaxNormalizer norm(cfg.normWindowSamples(), cfg.minContrast);
+    DipDetector detector(cfg.detectorConfig());
+    StallEvent ev;
+    for (float x : sig.samples)
+        detector.push(norm.push(x), ev);
+    StallEvent flushed;
+    ASSERT_TRUE(detector.finish(flushed));
+
+    ASSERT_EQ(result.events.size(), 2u);
+    const StallEvent &last = result.events.back();
+    EXPECT_EQ(last.startSample, flushed.startSample);
+    EXPECT_EQ(last.endSample, flushed.endSample);
+    EXPECT_EQ(bits(last.depth), bits(flushed.depth));
+    EXPECT_EQ(last.endSample, sig.samples.size() - 1);
+}
+
+TEST(EmProf, FinishDropsTrailingDipShorterThanMinimum)
+{
+    // Three low samples at the end: below the four-sample floor, so
+    // neither the detector nor finish() may emit them.
+    const EmProfConfig cfg = testConfig();
+    ASSERT_GT(cfg.effectiveMinDurationSamples(), 3u);
+    const auto sig = makeSignal(40e6, {{3000, 20}, {9997, 3}}, 10000);
+    const auto result = EmProf::analyze(sig, cfg);
+
+    MovingMinMaxNormalizer norm(cfg.normWindowSamples(), cfg.minContrast);
+    DipDetector detector(cfg.detectorConfig());
+    StallEvent ev;
+    for (float x : sig.samples)
+        detector.push(norm.push(x), ev);
+    ASSERT_TRUE(detector.inDip());
+    EXPECT_FALSE(detector.finish(ev));
+
+    ASSERT_EQ(result.events.size(), 1u);
+    EXPECT_EQ(result.events[0].startSample, 3000u);
+}
+
+TEST(EmProf, ResilientTrailingPartialBlockCountsTowardCoverage)
+{
+    // 10123 samples in 800-sample quality blocks: the last block holds
+    // 523 samples and must still be counted, or coverage falls short
+    // of the whole (clean) signal.
+    EmProfConfig cfg = testConfig();
+    cfg.signal.enabled = true;
+    const std::size_t n = 10123;
+    const uint64_t q = cfg.qualityBlockSamples();
+    ASSERT_NE(n % q, 0u);
+    const auto result =
+        EmProf::analyze(makeSignal(40e6, {{3000, 20}}, n), cfg);
+    EXPECT_EQ(result.report.quality.totalBlocks, (n + q - 1) / q);
+    EXPECT_EQ(result.report.quality.unusableBlocks, 0u);
+    EXPECT_EQ(result.report.quality.coverageFraction, 1.0);
 }
 
 TEST(EmProf, ReportTextContainsHeadlineNumbers)

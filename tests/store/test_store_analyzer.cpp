@@ -1,7 +1,7 @@
 /**
  * @file
- * EMCAP → ParallelAnalyzer equivalence: feeding a lossless capture to
- * analyzeCapture must produce events bit-identical to loading the same
+ * EMCAP → parallel analyzer equivalence: feeding a lossless capture to
+ * analyzeCaptureParallel must produce events bit-identical to loading the same
  * samples into memory and running the streaming analyzer — for any
  * stored chunk size and thread count, including stored chunks much
  * smaller than the analysis spans.
@@ -131,7 +131,7 @@ TEST(StoreAnalyzer, ExplicitChunkSizeAlignsToStoredBoundaries)
     std::remove(path.c_str());
 }
 
-TEST(StoreAnalyzer, SingleThreadFallsBackToStreaming)
+TEST(StoreAnalyzer, SingleThreadRunsAsOneSpan)
 {
     const auto sig = busySignalWithDips(20000, 3);
     const auto streaming = EmProf::analyze(sig, testConfig());
@@ -147,6 +147,43 @@ TEST(StoreAnalyzer, SingleThreadFallsBackToStreaming)
         analyzeCaptureParallel(reader, testConfig(), result, one, &error))
         << error;
     expectIdentical(result, streaming);
+    std::remove(path.c_str());
+}
+
+TEST(StoreAnalyzer, EmptyInputMatchesStreaming)
+{
+    // Zero samples plan zero spans; both entry points must still
+    // produce the streaming result, report text included.
+    dsp::TimeSeries empty;
+    empty.sampleRateHz = 40e6;
+    const auto path = writeEmcap(empty, "empty.emcap", 4096);
+    store::CaptureReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, &error)) << error;
+    ASSERT_EQ(reader.info().totalSamples, 0u);
+
+    for (const bool resilient : {false, true}) {
+        EmProfConfig config = testConfig();
+        config.signal.enabled = resilient;
+        const auto streaming = EmProf::analyze(empty, config);
+        const std::string text = streaming.report.toText("report");
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(::testing::Message() << "resilient=" << resilient
+                                              << " threads=" << threads);
+            ParallelAnalyzerConfig pcfg;
+            pcfg.threads = threads;
+            const auto series = analyzeParallel(empty, config, pcfg);
+            expectIdentical(series, streaming);
+            EXPECT_EQ(series.report.toText("report"), text);
+
+            ProfileResult capture;
+            ASSERT_TRUE(analyzeCaptureParallel(reader, config, capture,
+                                               pcfg, &error))
+                << error;
+            expectIdentical(capture, streaming);
+            EXPECT_EQ(capture.report.toText("report"), text);
+        }
+    }
     std::remove(path.c_str());
 }
 

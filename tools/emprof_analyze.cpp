@@ -78,13 +78,10 @@ usage(const char *argv0)
         "\n"
         "performance:\n"
         "  --threads <n>       analysis worker threads; events are\n"
-        "                      bit-identical to single-threaded\n"
-        "                      (default: hardware concurrency, 1\n"
-        "                      forces the streaming path)\n"
-        "  --fast-math-simd    allow the AVX2 batch kernel to\n"
-        "                      normalise in single precision (~2\n"
-        "                      float ULP; a razor-edge dip boundary\n"
-        "                      may move by one sample)\n"
+        "                      bit-identical for every count\n"
+        "                      (default: hardware concurrency;\n"
+        "                      EMPROF_SIMD=scalar selects the scalar\n"
+        "                      reference kernel)\n"
         "\n"
         "recovery:\n"
         "  --recover           open a truncated/unfinalized EMCAP\n"
@@ -139,7 +136,7 @@ main(int argc, char **argv)
     double rate_mhz = 0.0, clock_ghz = 1.008, boot_bucket_us = 0.0;
     std::size_t threads = common::ThreadPool::hardwareThreads();
     std::string events_csv;
-    bool verbose = false, fast_math_simd = false, threads_set = false;
+    bool verbose = false;
     tools::ObsCli obs_cli;
     profiler::EmProfConfig config;
 
@@ -168,13 +165,9 @@ main(int argc, char **argv)
         else if (arg == "--window-ms")
             config.normWindowSeconds =
                 argDouble(argc, argv, i, 1e-6, 1e6) * 1e-3;
-        else if (arg == "--threads") {
+        else if (arg == "--threads")
             threads = static_cast<std::size_t>(tools::parseU64Flag(
                 "--threads", argText(argc, argv, i), 1, 4096));
-            threads_set = true;
-        }
-        else if (arg == "--fast-math-simd")
-            fast_math_simd = true;
         else if (arg == "--recover")
             recover = true;
         else if (arg == "--resilient")
@@ -255,9 +248,9 @@ main(int argc, char **argv)
                         ? "f32 (lossless)"
                         : "i16 quantised",
                     info.deviceName.c_str());
-        // Marker search and the streaming path both need the whole
-        // series in memory; otherwise chunks are decoded on the pool.
-        if (use_section || threads <= 1) {
+        // Marker search needs the whole series in memory; otherwise
+        // chunks are decoded on the pool.
+        if (use_section) {
             if (!reader.readAll(signal, &err)) {
                 std::fprintf(stderr, "%s: %s\n", path.c_str(),
                              err.c_str());
@@ -327,7 +320,6 @@ main(int argc, char **argv)
         EMPROF_OBS_STAGE("tool.analyze");
         profiler::ParallelAnalyzerConfig pcfg;
         pcfg.threads = threads;
-        pcfg.fastMathSimd = fast_math_simd;
         if (emcap_direct) {
             std::string err;
             if (!profiler::analyzeCaptureParallel(reader, config, result,
@@ -336,14 +328,7 @@ main(int argc, char **argv)
                              err.c_str());
                 return 1;
             }
-        } else if (threads_set && threads <= 1 && !fast_math_simd) {
-            // `--threads 1` is the documented escape hatch to the
-            // plain streaming reference.
-            result = profiler::EmProf::analyze(signal, config);
         } else {
-            // The analyzer picks the decomposition (and the batch
-            // kernel when the CPU has it — also worthwhile on one
-            // worker); short inputs fall back to streaming inside.
             result = profiler::analyzeParallel(signal, config, pcfg);
         }
     }
