@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <random>
+#include <string_view>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -26,74 +27,117 @@ namespace emprof::serve {
 
 namespace {
 
-/** Handles registered once; no-ops while obs is disabled. */
-struct ServeMetrics
+/** One row per ServerStats field, in scrape order: the field and the
+ *  name it is scraped and mirrored under. */
+struct StatRow
 {
-    obs::Counter accepted;
-    obs::Counter rejected;
-    obs::Counter aborted;
-    obs::Counter completed;
-    obs::Counter bytesIngested;
-    obs::Counter framesMalformed;
-    obs::Counter parked;
-    obs::Counter resumed;
-    obs::Counter spooled;
-    obs::Counter servedFromSpool;
-    obs::Counter timedOut;
-    obs::Counter shed;
-    obs::Counter retryAfterSent;
-    obs::Counter acceptFdExhausted;
-    obs::Counter spoolFailed;
-    obs::Counter parkedEvicted;
-    obs::Counter parkedExpired;
+    uint64_t ServerStats::*field;
+    const char *name;
+};
+
+constexpr StatRow kStatTable[] = {
+    {&ServerStats::sessionsAccepted, "emprof.serve.sessions_accepted"},
+    {&ServerStats::sessionsCompleted, "emprof.serve.sessions_completed"},
+    {&ServerStats::sessionsRejected, "emprof.serve.sessions_rejected"},
+    {&ServerStats::sessionsActive, "emprof.serve.sessions_active"},
+    {&ServerStats::bytesIngested, "emprof.serve.bytes_ingested"},
+    {&ServerStats::framesMalformed, "emprof.serve.frames_malformed"},
+    {&ServerStats::sessionsParked, "emprof.serve.sessions_parked"},
+    {&ServerStats::sessionsResumed, "emprof.serve.sessions_resumed"},
+    {&ServerStats::resultsSpooled, "emprof.serve.results_spooled"},
+    {&ServerStats::resultsServedFromSpool,
+     "emprof.serve.results_served_from_spool"},
+    {&ServerStats::sessionsAborted, "emprof.serve.sessions_aborted"},
+    {&ServerStats::sessionsTimedOut, "emprof.serve.sessions_timed_out"},
+    {&ServerStats::sessionsShed, "emprof.serve.sessions_shed"},
+    {&ServerStats::retryAfterSent, "emprof.serve.retry_after_sent"},
+    {&ServerStats::acceptFdExhausted,
+     "emprof.serve.accept_fd_exhausted"},
+    {&ServerStats::resultsSpoolFailed,
+     "emprof.serve.results_spool_failed"},
+    {&ServerStats::parkedEvicted, "emprof.serve.parked_evicted"},
+    {&ServerStats::parkedExpired, "emprof.serve.parked_expired"},
+};
+
+constexpr bool
+everyFieldOnce()
+{
+    for (std::size_t i = 0; i < std::size(kStatTable); ++i)
+        for (std::size_t j = i + 1; j < std::size(kStatTable); ++j)
+            if (kStatTable[i].field == kStatTable[j].field)
+                return false;
+    return std::size(kStatTable) == kServerStatCount;
+}
+static_assert(everyFieldOnce(), "one table row per ServerStats field");
+
+std::size_t
+rowOf(uint64_t ServerStats::*field)
+{
+    std::size_t row = 0;
+    while (kStatTable[row].field != field)
+        ++row;
+    return row;
+}
+
+/** obs mirrors of the table plus the serve gauges and histograms,
+ *  registered together so --metrics-out lists each one even at 0.
+ *  Updates are no-ops while obs is disabled. */
+struct ObsMirror
+{
+    /** By table row; sessions_active is the gauge below instead. */
+    std::array<obs::Counter, kServerStatCount> counters;
     obs::Gauge sessionsActive;
     obs::Gauge queueDepthBytes;
     obs::Histogram sessionUs;
     obs::Histogram feedUs;
-
-    static const ServeMetrics &
-    instance()
-    {
-        static const ServeMetrics m = [] {
-            auto &reg = obs::MetricsRegistry::instance();
-            ServeMetrics v;
-            v.accepted = reg.counter("emprof.serve.sessions_accepted");
-            v.rejected = reg.counter("emprof.serve.sessions_rejected");
-            v.aborted = reg.counter("emprof.serve.sessions_aborted");
-            v.completed =
-                reg.counter("emprof.serve.sessions_completed");
-            v.bytesIngested = reg.counter("emprof.serve.bytes_ingested");
-            v.framesMalformed =
-                reg.counter("emprof.serve.frames_malformed");
-            v.parked = reg.counter("emprof.serve.sessions_parked");
-            v.resumed = reg.counter("emprof.serve.sessions_resumed");
-            v.spooled = reg.counter("emprof.serve.results_spooled");
-            v.servedFromSpool =
-                reg.counter("emprof.serve.results_served_from_spool");
-            v.timedOut = reg.counter("emprof.serve.sessions_timed_out");
-            v.shed = reg.counter("emprof.serve.sessions_shed");
-            v.retryAfterSent =
-                reg.counter("emprof.serve.retry_after_sent");
-            v.acceptFdExhausted =
-                reg.counter("emprof.serve.accept_fd_exhausted");
-            v.spoolFailed =
-                reg.counter("emprof.serve.results_spool_failed");
-            v.parkedEvicted =
-                reg.counter("emprof.serve.parked_evicted");
-            v.parkedExpired =
-                reg.counter("emprof.serve.parked_expired");
-            v.sessionsActive =
-                reg.gauge("emprof.serve.sessions_active");
-            v.queueDepthBytes =
-                reg.gauge("emprof.serve.queue_depth_bytes");
-            v.sessionUs =
-                reg.histogram("emprof.serve.stage.session_us");
-            v.feedUs = reg.histogram("emprof.serve.stage.feed_us");
-            return v;
-        }();
-        return m;
-    }
 };
+
+const ObsMirror &
+obsMirror()
+{
+    static const ObsMirror m = [] {
+        auto &reg = obs::MetricsRegistry::instance();
+        ObsMirror v;
+        for (std::size_t row = 0; row < kServerStatCount; ++row)
+            if (kStatTable[row].field != &ServerStats::sessionsActive)
+                v.counters[row] = reg.counter(kStatTable[row].name);
+        v.sessionsActive = reg.gauge("emprof.serve.sessions_active");
+        v.queueDepthBytes = reg.gauge("emprof.serve.queue_depth_bytes");
+        v.sessionUs = reg.histogram("emprof.serve.stage.session_us");
+        v.feedUs = reg.histogram("emprof.serve.stage.feed_us");
+        return v;
+    }();
+    return m;
+}
+
+/** The StatsRequest answer: the counter table, then the rest of the
+ *  obs scrape when observability is on. */
+std::string
+scrapeText(const ServerStats &s)
+{
+    std::string text;
+    for (const StatRow &row : kStatTable)
+        text += std::string(row.name) + " " +
+                std::to_string(s.*row.field) + "\n";
+    if (!obs::MetricsRegistry::enabled())
+        return text;
+    // The registry mirrors the table: print each name once, with the
+    // per-server value (the registry is shared by every server).
+    // Every metricsToText() line ends in '\n'.
+    const std::string registry = obs::metricsToText();
+    for (std::size_t at = 0; at < registry.size();) {
+        const std::size_t end = registry.find('\n', at) + 1;
+        const std::string_view line(registry.data() + at, end - at);
+        const std::string_view name = line.substr(0, line.find(' '));
+        if (std::none_of(std::begin(kStatTable), std::end(kStatTable),
+                         [&](const StatRow &row) {
+                             return name == row.name;
+                         }))
+            text += line;
+        at = end;
+    }
+    return text;
+}
 
 uint64_t
 elapsedUs(std::chrono::steady_clock::time_point since)
@@ -112,10 +156,10 @@ setNonBlocking(int fd)
 }
 
 /**
- * Bound a blocking send on @p fd.  A shed session's peer is hostile
- * by definition — it may never read — so every typed-error write to
- * one must carry a timeout or the I/O thread wedges on a full socket
- * buffer (the one thread every session depends on).
+ * Bound a blocking send on @p fd.  A rejected or shed session's peer
+ * may be hostile — it may never read — so every typed-error write
+ * carries a timeout, or the I/O thread wedges on a full socket buffer
+ * (the one thread every session depends on).
  */
 void
 setSendTimeoutMs(int fd, int ms)
@@ -126,8 +170,12 @@ setSendTimeoutMs(int fd, int ms)
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-/** Send-timeout applied to typed-error writes toward hostile peers. */
+/** Send-timeout applied to every typed-error write. */
 constexpr int kShedWriteTimeoutMs = 1000;
+
+/** The I/O loop's poll timeout, and how long a listener that failed
+ *  to accept sits out of the poll set. */
+constexpr int kPollTickMs = 200;
 
 SessionId
 randomSessionId()
@@ -352,17 +400,13 @@ Server::stop()
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         leftovers.swap(sessions_);
-        stats_.sessionsActive = 0;
     }
     for (auto &s : leftovers) {
-        if (s->openSeen && !s->replied.load()) {
-            const auto payload = encodeErrorPayload(
-                ErrorCode::Shutdown, "server shutting down");
-            writeFrame(s->fd, FrameType::Error, payload.data(),
-                       payload.size());
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-        }
+        if (!s->openSeen)
+            continue;
+        count(&ServerStats::sessionsActive, -1);
+        if (!s->replied.exchange(true))
+            sendError(s->fd, ErrorCode::Shutdown, "server shutting down");
     }
     leftovers.clear(); // destructors close the fds
 
@@ -391,14 +435,46 @@ Server::stop()
         ::close(emergencyFd_);
         emergencyFd_ = -1;
     }
-    ServeMetrics::instance().sessionsActive.set(0);
 }
 
 ServerStats
 Server::stats() const
 {
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    return stats_;
+    ServerStats out;
+    for (std::size_t row = 0; row < kServerStatCount; ++row)
+        out.*kStatTable[row].field = counts_[row].load();
+    return out;
+}
+
+uint64_t
+Server::count(uint64_t ServerStats::*field, int64_t n)
+{
+    const std::size_t row = rowOf(field);
+    const uint64_t before =
+        counts_[row].fetch_add(static_cast<uint64_t>(n));
+    if (obs::MetricsRegistry::enabled()) {
+        const ObsMirror &mirror = obsMirror();
+        if (field == &ServerStats::sessionsActive)
+            mirror.sessionsActive.set(static_cast<int64_t>(before) + n);
+        else
+            mirror.counters[row].add(static_cast<uint64_t>(n));
+    }
+    return before;
+}
+
+void
+Server::sendError(int fd, ErrorCode code, const std::string &message,
+                  uint32_t retryAfterMs)
+{
+    setSendTimeoutMs(fd, kShedWriteTimeoutMs);
+    const auto payload = code == ErrorCode::RetryAfter
+                             ? encodeRetryAfterPayload(retryAfterMs, message)
+                             : encodeErrorPayload(code, message);
+    writeFrame(fd, FrameType::Error, payload.data(), payload.size());
+    // RetryAfter first: whoever sees the rejection sees its kind.
+    if (code == ErrorCode::RetryAfter)
+        count(&ServerStats::retryAfterSent);
+    count(&ServerStats::sessionsRejected);
 }
 
 void
@@ -456,12 +532,11 @@ Server::ioLoop()
                 polled.push_back(s);
             }
         }
-        ServeMetrics::instance().queueDepthBytes.set(
+        obsMirror().queueDepthBytes.set(
             static_cast<int64_t>(queue_bytes));
         lastQueueBytes_ = queue_bytes;
 
-        const int n =
-            ::poll(fds.data(), fds.size(), /*timeout ms=*/200);
+        const int n = ::poll(fds.data(), fds.size(), kPollTickMs);
         if (n < 0 && errno != EINTR)
             break; // poll itself failed; nothing sane left to do
         if (stopping_.load())
@@ -490,19 +565,14 @@ Server::ioLoop()
         // Reap sessions whose pump (or this loop) marked them closed.
         {
             std::lock_guard<std::mutex> lock(sessionsMutex_);
-            std::size_t active = 0;
             auto keep = sessions_.begin();
             for (auto &s : sessions_) {
-                if (s->closed.load())
-                    continue; // dropped; dtor closes the fd later
-                if (s->openSeen)
-                    ++active;
-                *keep++ = s;
+                if (!s->closed.load())
+                    *keep++ = s;
+                else if (s->openSeen) // dtor closes the fd later
+                    count(&ServerStats::sessionsActive, -1);
             }
             sessions_.erase(keep, sessions_.end());
-            stats_.sessionsActive = active;
-            ServeMetrics::instance().sessionsActive.set(
-                static_cast<int64_t>(active));
         }
         purgeParked();
     }
@@ -525,11 +595,9 @@ Server::purgeParked()
                 ++it;
             }
         }
-        stats_.parkedExpired += expired.size();
+        count(&ServerStats::parkedExpired,
+              static_cast<int64_t>(expired.size()));
     }
-    if (!expired.empty())
-        ServeMetrics::instance().parkedExpired.add(
-            static_cast<int64_t>(expired.size()));
     expired.clear();
 }
 
@@ -557,14 +625,11 @@ Server::parkSession(const std::shared_ptr<Session> &session)
                     oldest = it;
             evicted = std::move(oldest->second);
             parked_.erase(oldest);
-            ++stats_.parkedEvicted;
+            count(&ServerStats::parkedEvicted);
         }
         parked_[sessionIdToHex(session->id)] = std::move(parked);
-        ++stats_.sessionsParked;
+        count(&ServerStats::sessionsParked);
     }
-    if (evicted)
-        ServeMetrics::instance().parkedEvicted.inc();
-    ServeMetrics::instance().parked.inc();
     session->replied.store(true); // no reply possible; don't count it
     session->closed.store(true);
     evicted.reset();
@@ -595,47 +660,28 @@ Server::acceptPending(int listenFd)
                 // nothing.  Spend the emergency fd to accept ONE
                 // waiting connection and tell it (typed RetryAfter)
                 // to come back, then mute the listener for a tick.
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.acceptFdExhausted;
-                }
-                const auto &metrics = ServeMetrics::instance();
-                metrics.acceptFdExhausted.inc();
+                count(&ServerStats::acceptFdExhausted);
                 if (emergencyFd_ >= 0) {
                     ::close(emergencyFd_);
                     emergencyFd_ = -1;
                     const int efd =
                         ::accept(listenFd, nullptr, nullptr);
                     if (efd >= 0) {
-                        setSendTimeoutMs(efd, kShedWriteTimeoutMs);
-                        const auto payload = encodeRetryAfterPayload(
-                            governor_.watermarks().retryAfterBaseMs,
-                            "server out of file descriptors; "
-                            "retry later");
-                        writeFrame(efd, FrameType::Error,
-                                   payload.data(), payload.size());
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.retryAfterSent;
-                            ++stats_.sessionsRejected;
-                        }
-                        metrics.retryAfterSent.inc();
-                        metrics.rejected.inc();
+                        sendError(efd, ErrorCode::RetryAfter,
+                                  "server out of file descriptors; "
+                                  "retry later",
+                                  governor_.watermarks().retryAfterBaseMs);
                         ::close(efd);
                     }
                     emergencyFd_ =
                         ::open("/dev/null", O_RDONLY | O_CLOEXEC);
                 }
-                listenerMuteUntil_ =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(200);
-                return;
             }
-            // Unknown persistent accept failure: do not spin on a
-            // listener we cannot drain; sit out one tick.
+            // fd exhaustion or an unknown persistent accept failure:
+            // do not spin on a listener we cannot drain; sit out one
+            // tick.
             listenerMuteUntil_ = std::chrono::steady_clock::now() +
-                                 std::chrono::milliseconds(200);
+                                 std::chrono::milliseconds(kPollTickMs);
             return;
         }
         auto session = std::make_shared<Session>();
@@ -650,25 +696,11 @@ Server::acceptPending(int listenFd)
 
 void
 Server::rejectAndClose(const std::shared_ptr<Session> &session,
-                       uint32_t code, const std::string &message,
+                       ErrorCode code, const std::string &message,
                        uint32_t retryAfterMs)
 {
-    if (!session->replied.exchange(true)) {
-        const auto ec = static_cast<ErrorCode>(code);
-        const auto payload =
-            ec == ErrorCode::RetryAfter
-                ? encodeRetryAfterPayload(retryAfterMs, message)
-                : encodeErrorPayload(ec, message);
-        writeFrame(session->fd, FrameType::Error, payload.data(),
-                   payload.size());
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        ++stats_.sessionsRejected;
-        if (ec == ErrorCode::RetryAfter)
-            ++stats_.retryAfterSent;
-        ServeMetrics::instance().rejected.inc();
-        if (ec == ErrorCode::RetryAfter)
-            ServeMetrics::instance().retryAfterSent.inc();
-    }
+    if (!session->replied.exchange(true))
+        sendError(session->fd, code, message, retryAfterMs);
     session->closed.store(true);
 }
 
@@ -713,9 +745,7 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
             // opened session and a handshake torn mid-Open — the
             // reconnect herd's signature.  Zero-byte connects (port
             // scanners, TCP health checks) stay uncounted.
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsAborted;
-            ServeMetrics::instance().aborted.inc();
+            count(&ServerStats::sessionsAborted);
         }
         session->closed.store(true);
         return;
@@ -734,14 +764,8 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
         if (consumed == 0)
             return; // incomplete; wait for more bytes
         if (consumed < 0) {
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.framesMalformed;
-            }
-            ServeMetrics::instance().framesMalformed.inc();
-            rejectAndClose(session,
-                           static_cast<uint32_t>(ErrorCode::Malformed),
-                           parse_error);
+            count(&ServerStats::framesMalformed);
+            rejectAndClose(session, ErrorCode::Malformed, parse_error);
             return;
         }
         session->inbox.erase(session->inbox.begin(),
@@ -751,11 +775,9 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
         case FrameType::Open: {
             if (session->openSeen ||
                 frame.payload.size() != sizeof(OpenRequest)) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    session->openSeen ? "duplicate Open frame"
-                                      : "bad Open payload");
+                rejectAndClose(session, ErrorCode::Malformed,
+                               session->openSeen ? "duplicate Open frame"
+                                                 : "bad Open payload");
                 return;
             }
             OpenRequest open{};
@@ -767,10 +789,8 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
         }
         case FrameType::Data: {
             if (!session->openSeen) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    "Data before Open");
+                rejectAndClose(session, ErrorCode::Malformed,
+                               "Data before Open");
                 return;
             }
             const std::size_t bytes = frame.payload.size();
@@ -779,20 +799,15 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
                 session->pending.push_back(std::move(frame.payload));
                 session->pendingBytes += bytes;
             }
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                stats_.bytesIngested += bytes;
-            }
-            ServeMetrics::instance().bytesIngested.add(bytes);
+            count(&ServerStats::bytesIngested,
+                  static_cast<int64_t>(bytes));
             schedulePump(session);
             break;
         }
         case FrameType::Finish: {
             if (!session->openSeen) {
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::Malformed),
-                    "Finish before Open");
+                rejectAndClose(session, ErrorCode::Malformed,
+                               "Finish before Open");
                 return;
             }
             {
@@ -803,52 +818,7 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
             break;
         }
         case FrameType::StatsRequest: {
-            std::string text;
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                text += "emprof.serve.sessions_accepted " +
-                        std::to_string(stats_.sessionsAccepted) + "\n";
-                text += "emprof.serve.sessions_completed " +
-                        std::to_string(stats_.sessionsCompleted) +
-                        "\n";
-                text += "emprof.serve.sessions_rejected " +
-                        std::to_string(stats_.sessionsRejected) + "\n";
-                text += "emprof.serve.sessions_active " +
-                        std::to_string(stats_.sessionsActive) + "\n";
-                text += "emprof.serve.bytes_ingested " +
-                        std::to_string(stats_.bytesIngested) + "\n";
-                text += "emprof.serve.frames_malformed " +
-                        std::to_string(stats_.framesMalformed) + "\n";
-                text += "emprof.serve.sessions_parked " +
-                        std::to_string(stats_.sessionsParked) + "\n";
-                text += "emprof.serve.sessions_resumed " +
-                        std::to_string(stats_.sessionsResumed) + "\n";
-                text += "emprof.serve.results_spooled " +
-                        std::to_string(stats_.resultsSpooled) + "\n";
-                text += "emprof.serve.results_served_from_spool " +
-                        std::to_string(stats_.resultsServedFromSpool) +
-                        "\n";
-                text += "emprof.serve.sessions_aborted " +
-                        std::to_string(stats_.sessionsAborted) + "\n";
-                text += "emprof.serve.sessions_timed_out " +
-                        std::to_string(stats_.sessionsTimedOut) + "\n";
-                text += "emprof.serve.sessions_shed " +
-                        std::to_string(stats_.sessionsShed) + "\n";
-                text += "emprof.serve.retry_after_sent " +
-                        std::to_string(stats_.retryAfterSent) + "\n";
-                text += "emprof.serve.accept_fd_exhausted " +
-                        std::to_string(stats_.acceptFdExhausted) +
-                        "\n";
-                text += "emprof.serve.results_spool_failed " +
-                        std::to_string(stats_.resultsSpoolFailed) +
-                        "\n";
-                text += "emprof.serve.parked_evicted " +
-                        std::to_string(stats_.parkedEvicted) + "\n";
-                text += "emprof.serve.parked_expired " +
-                        std::to_string(stats_.parkedExpired) + "\n";
-            }
-            if (obs::MetricsRegistry::enabled())
-                text += obs::metricsToText();
+            const std::string text = scrapeText(stats());
             writeFrame(session->fd, FrameType::Stats, text.data(),
                        text.size());
             session->replied.store(true);
@@ -867,8 +837,7 @@ Server::handleReadable(const std::shared_ptr<Session> &session)
             return;
         }
         default:
-            rejectAndClose(session,
-                           static_cast<uint32_t>(ErrorCode::Malformed),
+            rejectAndClose(session, ErrorCode::Malformed,
                            "unexpected frame type from client");
             return;
         }
@@ -893,11 +862,7 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         std::string why;
         if (spool_.fetch(id, status, payload, &why)) {
             session->replied.store(true);
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.resultsServedFromSpool;
-            }
-            ServeMetrics::instance().servedFromSpool.inc();
+            count(&ServerStats::resultsServedFromSpool);
             const auto ack =
                 encodeOpenAckPayload(id, 0, SessionState::Complete);
             if (writeFrame(session->fd, FrameType::OpenAck, ack.data(),
@@ -911,14 +876,8 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         // upload; the re-analysis replaces the bad record.
     }
 
-    std::size_t active;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        active = stats_.sessionsActive;
-    }
-    if (active >= config_.maxSessions) {
-        rejectAndClose(session,
-                       static_cast<uint32_t>(ErrorCode::Busy),
+    if (stats().sessionsActive >= config_.maxSessions) {
+        rejectAndClose(session, ErrorCode::Busy,
                        "session limit reached (" +
                            std::to_string(config_.maxSessions) + ")");
         return;
@@ -956,24 +915,17 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
                     std::lock_guard<std::mutex> lock(sessionsMutex_);
                     parked_[hex] = std::move(parked);
                 }
-                rejectAndClose(
-                    session,
-                    static_cast<uint32_t>(ErrorCode::BadResume), bad);
+                rejectAndClose(session, ErrorCode::BadResume, bad);
                 return;
             }
             const uint64_t offset = parked->resumeOffset;
             session->pipeline = std::move(parked->pipeline);
             session->id = id;
             session->openSeen = true;
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                ++stats_.sessionsAccepted;
-                ++stats_.sessionsResumed;
-                ++stats_.sessionsActive;
-            }
-            const auto &metrics = ServeMetrics::instance();
-            metrics.accepted.inc();
-            metrics.resumed.inc();
+            // sessionsAccepted last: whoever sees it sees the rest.
+            count(&ServerStats::sessionsActive);
+            count(&ServerStats::sessionsResumed);
+            count(&ServerStats::sessionsAccepted);
             const auto ack = encodeOpenAckPayload(
                 id, offset, SessionState::Resumed);
             writeFrame(session->fd, FrameType::OpenAck, ack.data(),
@@ -987,7 +939,7 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         // may simply have restarted.
         if (open.resumeFrom != kResumeQuery && open.resumeFrom != 0) {
             rejectAndClose(
-                session, static_cast<uint32_t>(ErrorCode::BadResume),
+                session, ErrorCode::BadResume,
                 "unknown session " + hex +
                     " cannot resume at offset " +
                     std::to_string(open.resumeFrom));
@@ -1003,8 +955,7 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         if (governor_.classify(snap) != LoadGovernor::Level::Normal) {
             const uint32_t hint = governor_.suggestedBackoffMs(snap);
             rejectAndClose(
-                session,
-                static_cast<uint32_t>(ErrorCode::RetryAfter),
+                session, ErrorCode::RetryAfter,
                 "server overloaded; retry in " +
                     std::to_string(hint) + " ms",
                 hint);
@@ -1022,12 +973,8 @@ Server::handleOpen(const std::shared_ptr<Session> &session,
         analysis, config_.spanSamples);
     session->id = id;
     session->openSeen = true;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        ++stats_.sessionsAccepted;
-        ++stats_.sessionsActive;
-    }
-    ServeMetrics::instance().accepted.inc();
+    count(&ServerStats::sessionsActive);
+    count(&ServerStats::sessionsAccepted);
     const auto ack = encodeOpenAckPayload(id, 0, SessionState::Fresh);
     writeFrame(session->fd, FrameType::OpenAck, ack.data(),
                ack.size());
@@ -1057,22 +1004,8 @@ Server::pump(std::shared_ptr<Session> session)
     const auto abandon = [&](ErrorCode code,
                              const std::string &message,
                              uint32_t retryAfterMs = 0) {
-        if (!session->replied.exchange(true)) {
-            setSendTimeoutMs(session->fd, kShedWriteTimeoutMs);
-            const auto payload =
-                code == ErrorCode::RetryAfter
-                    ? encodeRetryAfterPayload(retryAfterMs, message)
-                    : encodeErrorPayload(code, message);
-            writeFrame(session->fd, FrameType::Error, payload.data(),
-                       payload.size());
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-            if (code == ErrorCode::RetryAfter)
-                ++stats_.retryAfterSent;
-            ServeMetrics::instance().rejected.inc();
-            if (code == ErrorCode::RetryAfter)
-                ServeMetrics::instance().retryAfterSent.inc();
-        }
+        if (!session->replied.exchange(true))
+            sendError(session->fd, code, message, retryAfterMs);
         {
             std::lock_guard<std::mutex> qlock(session->mutex);
             session->pending.clear();
@@ -1151,27 +1084,14 @@ Server::pump(std::shared_ptr<Session> session)
                     std::string spool_error;
                     if (spool_.append(session->id, status, payload,
                                       &spool_error)) {
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.resultsSpooled;
-                        }
-                        ServeMetrics::instance().spooled.inc();
+                        count(&ServerStats::resultsSpooled);
                     } else {
                         // A spool failure (disk full, ...) must not
                         // take the live path down: the reply still
                         // goes out, only the crash-recovery guarantee
                         // is lost.  Counted, and logged once on the
                         // healthy→degraded transition.
-                        bool first;
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            first = stats_.resultsSpoolFailed == 0;
-                            ++stats_.resultsSpoolFailed;
-                        }
-                        ServeMetrics::instance().spoolFailed.inc();
-                        if (first)
+                        if (count(&ServerStats::resultsSpoolFailed) == 0)
                             std::fprintf(
                                 stderr,
                                 "emprof_served: result spool append "
@@ -1185,17 +1105,12 @@ Server::pump(std::shared_ptr<Session> session)
                 // means the peer hung up after the analysis finished —
                 // the session still completed.
                 session->replied.store(true);
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsCompleted;
-                }
-                const auto &metrics = ServeMetrics::instance();
-                metrics.completed.inc();
+                count(&ServerStats::sessionsCompleted);
                 std::string write_error;
                 (void)writeFrame(session->fd, FrameType::Report,
                                  payload.data(), payload.size(),
                                  &write_error);
-                metrics.sessionUs.observe(
+                obsMirror().sessionUs.observe(
                     elapsedUs(session->openedAt));
                 {
                     std::lock_guard<std::mutex> qlock(session->mutex);
@@ -1211,8 +1126,7 @@ Server::pump(std::shared_ptr<Session> session)
             const bool ok = session->pipeline->feed(
                 item.data(), item.size(), &why);
             if (obs::MetricsRegistry::enabled())
-                ServeMetrics::instance().feedUs.observe(
-                    elapsedUs(t0));
+                obsMirror().feedUs.observe(elapsedUs(t0));
             if (!ok)
                 return abandon(ErrorCode::Malformed, why);
             if (crossed_resume)
@@ -1231,7 +1145,7 @@ Server::currentSnapshot()
     snap.queueBytes = lastQueueBytes_;
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        snap.activeSessions = stats_.sessionsActive;
+        snap.activeSessions = stats().sessionsActive;
         snap.parked = parked_.size();
         // Sessions (incl. pre-Open connections) + listeners + the
         // wake pipe and the emergency reserve.
@@ -1280,24 +1194,8 @@ Server::shedSession(const std::shared_ptr<Session> &session,
         session->aborted.store(true);
         return;
     }
-    if (!session->replied.exchange(true)) {
-        setSendTimeoutMs(session->fd, kShedWriteTimeoutMs);
-        const auto payload =
-            code == ErrorCode::RetryAfter
-                ? encodeRetryAfterPayload(retryAfterMs, message)
-                : encodeErrorPayload(code, message);
-        writeFrame(session->fd, FrameType::Error, payload.data(),
-                   payload.size());
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            ++stats_.sessionsRejected;
-            if (code == ErrorCode::RetryAfter)
-                ++stats_.retryAfterSent;
-        }
-        ServeMetrics::instance().rejected.inc();
-        if (code == ErrorCode::RetryAfter)
-            ServeMetrics::instance().retryAfterSent.inc();
-    }
+    if (!session->replied.exchange(true))
+        sendError(session->fd, code, message, retryAfterMs);
     // Shed ≠ forgotten: park the pipeline so the client can resume
     // once the storm passes, upload already half done.  (The EOF
     // parking invariant holds here too: !pump_owns on the I/O thread
@@ -1365,11 +1263,7 @@ Server::enforceOverload(
             if (config_.sessionDeadlineSeconds > 0 &&
                 seconds_since(s->openedAt) >=
                     config_.sessionDeadlineSeconds) {
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsTimedOut;
-                }
-                ServeMetrics::instance().timedOut.inc();
+                count(&ServerStats::sessionsTimedOut);
                 shedSession(s, ErrorCode::IdleTimeout,
                             "session deadline exceeded", 0);
                 continue;
@@ -1379,11 +1273,7 @@ Server::enforceOverload(
                 config_.idleTimeoutSeconds > 0 &&
                 seconds_since(s->lastProgressAt) >=
                     config_.idleTimeoutSeconds) {
-                {
-                    std::lock_guard<std::mutex> lock(sessionsMutex_);
-                    ++stats_.sessionsTimedOut;
-                }
-                ServeMetrics::instance().timedOut.inc();
+                count(&ServerStats::sessionsTimedOut);
                 shedSession(s, ErrorCode::IdleTimeout,
                             "no upload progress; parked for resume",
                             0);
@@ -1404,12 +1294,7 @@ Server::enforceOverload(
                                             s->rateWindowBase) /
                         elapsed;
                     if (rate < config_.minRateBytesPerSec) {
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                sessionsMutex_);
-                            ++stats_.sessionsTimedOut;
-                        }
-                        ServeMetrics::instance().timedOut.inc();
+                        count(&ServerStats::sessionsTimedOut);
                         shedSession(s, ErrorCode::IdleTimeout,
                                     "upload rate below the floor; "
                                     "parked for resume",
@@ -1458,14 +1343,7 @@ Server::enforceOverload(
                     hint);
         ++shed_count;
     }
-    if (shed_count > 0) {
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            stats_.sessionsShed += shed_count;
-        }
-        ServeMetrics::instance().shed.add(
-            static_cast<int64_t>(shed_count));
-    }
+    count(&ServerStats::sessionsShed, static_cast<int64_t>(shed_count));
 }
 
 } // namespace emprof::serve

@@ -55,6 +55,7 @@
 #ifndef EMPROF_SERVE_SERVER_HPP
 #define EMPROF_SERVE_SERVER_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -140,7 +141,12 @@ struct ServerConfig
     profiler::EmProfConfig analysis;
 };
 
-/** Monotonic counters for tests and the status line (obs-free). */
+/**
+ * Per-server counters for tests, the status line and the scrape.
+ * Every field but sessionsActive (a level) only grows.  They are kept
+ * per server even with observability on: the obs registry is
+ * process-wide and off by default, so it only mirrors these values.
+ */
 struct ServerStats
 {
     uint64_t sessionsAccepted = 0;
@@ -165,6 +171,10 @@ struct ServerStats
     uint64_t parkedEvicted = 0; ///< maxParked pushed one out early
     uint64_t parkedExpired = 0; ///< resume TTL ran out
 };
+
+/** Number of ServerStats fields (the rows of the counter table). */
+inline constexpr std::size_t kServerStatCount =
+    sizeof(ServerStats) / sizeof(uint64_t);
 
 class Server
 {
@@ -210,8 +220,19 @@ class Server
     void pump(std::shared_ptr<Session> session);
     void schedulePump(const std::shared_ptr<Session> &session);
     void rejectAndClose(const std::shared_ptr<Session> &session,
-                        uint32_t code, const std::string &message,
+                        ErrorCode code, const std::string &message,
                         uint32_t retryAfterMs = 0);
+
+    /**
+     * Add @p n to one ServerStats field and its obs mirror; returns
+     * the value before.  Lock-free, so it is safe under any lock.
+     */
+    uint64_t count(uint64_t ServerStats::*field, int64_t n = 1);
+
+    /** Write one typed Error frame (RetryAfter carries @p retryAfterMs)
+     *  with a bounded send and count the rejection. */
+    void sendError(int fd, ErrorCode code, const std::string &message,
+                   uint32_t retryAfterMs = 0);
     void parkSession(const std::shared_ptr<Session> &session);
     void purgeParked();
     void wake();
@@ -272,8 +293,8 @@ class Server
 
     ResultSpool spool_;
 
-    /** stats(), under sessionsMutex_. */
-    ServerStats stats_;
+    /** ServerStats values, indexed like the counter table. */
+    std::array<std::atomic<uint64_t>, kServerStatCount> counts_{};
 };
 
 } // namespace emprof::serve

@@ -13,7 +13,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "../e2e/golden_common.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -164,6 +168,48 @@ class ServerFixture
     std::string path_;
     std::unique_ptr<Server> server_;
     bool started_ = false;
+};
+
+/** Every ServerStats field and its scrape name, in scrape order. */
+const std::pair<const char *, uint64_t ServerStats::*> kScrapeTable[] = {
+    {"emprof.serve.sessions_accepted", &ServerStats::sessionsAccepted},
+    {"emprof.serve.sessions_completed", &ServerStats::sessionsCompleted},
+    {"emprof.serve.sessions_rejected", &ServerStats::sessionsRejected},
+    {"emprof.serve.sessions_active", &ServerStats::sessionsActive},
+    {"emprof.serve.bytes_ingested", &ServerStats::bytesIngested},
+    {"emprof.serve.frames_malformed", &ServerStats::framesMalformed},
+    {"emprof.serve.sessions_parked", &ServerStats::sessionsParked},
+    {"emprof.serve.sessions_resumed", &ServerStats::sessionsResumed},
+    {"emprof.serve.results_spooled", &ServerStats::resultsSpooled},
+    {"emprof.serve.results_served_from_spool",
+     &ServerStats::resultsServedFromSpool},
+    {"emprof.serve.sessions_aborted", &ServerStats::sessionsAborted},
+    {"emprof.serve.sessions_timed_out", &ServerStats::sessionsTimedOut},
+    {"emprof.serve.sessions_shed", &ServerStats::sessionsShed},
+    {"emprof.serve.retry_after_sent", &ServerStats::retryAfterSent},
+    {"emprof.serve.accept_fd_exhausted",
+     &ServerStats::acceptFdExhausted},
+    {"emprof.serve.results_spool_failed",
+     &ServerStats::resultsSpoolFailed},
+    {"emprof.serve.parked_evicted", &ServerStats::parkedEvicted},
+    {"emprof.serve.parked_expired", &ServerStats::parkedExpired},
+};
+
+/** Enable the process-wide obs registry for one scope, zeroed on the
+ *  way in and out (the serve tests may share one process). */
+class MetricsOn
+{
+  public:
+    MetricsOn()
+    {
+        obs::MetricsRegistry::setEnabled(true);
+        obs::MetricsRegistry::instance().resetValues();
+    }
+    ~MetricsOn()
+    {
+        obs::MetricsRegistry::instance().resetValues();
+        obs::MetricsRegistry::setEnabled(false);
+    }
 };
 
 } // namespace
@@ -474,28 +520,55 @@ TEST(Server, ScrapeReturnsTheSessionCounters)
 {
     const auto bytes =
         readFileBytes(goldenPath(golden::kCaptureFile));
-    ServerFixture fixture;
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(fixture.endpoint(), &error)) << error;
-    ASSERT_TRUE(
-        client.push(bytes.data(), bytes.size(), false, 997).ok);
+    // Obs off is how the daemon runs by default; with obs on the
+    // registry mirrors the counters and must not repeat a name.
+    for (const bool obs_on : {false, true}) {
+        SCOPED_TRACE(obs_on ? "obs enabled" : "obs disabled");
+        std::optional<MetricsOn> metrics;
+        if (obs_on)
+            metrics.emplace();
+        ServerFixture fixture;
+        Client client;
+        std::string error;
+        ASSERT_TRUE(client.connect(fixture.endpoint(), &error))
+            << error;
+        ASSERT_TRUE(
+            client.push(bytes.data(), bytes.size(), false, 997).ok);
 
-    std::string text;
-    ASSERT_TRUE(Client::scrape(fixture.endpoint(), text, &error))
-        << error;
-    EXPECT_NE(text.find("emprof.serve.sessions_completed 1"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("emprof.serve.sessions_rejected 0"),
-              std::string::npos)
-        << text;
+        std::string text;
+        ASSERT_TRUE(Client::scrape(fixture.endpoint(), text, &error))
+            << error;
+        EXPECT_NE(text.find("emprof.serve.sessions_completed 1"),
+                  std::string::npos)
+            << text;
+        EXPECT_NE(text.find("emprof.serve.sessions_rejected 0"),
+                  std::string::npos)
+            << text;
+
+        std::istringstream lines(text);
+        std::vector<std::string> names;
+        std::map<std::string, int> seen;
+        for (std::string line; std::getline(lines, line);) {
+            names.push_back(line.substr(0, line.find(' ')));
+            ++seen[names.back()];
+        }
+        for (const auto &[name, n] : seen)
+            EXPECT_EQ(n, 1) << name << " listed " << n << " times\n"
+                            << text;
+        // The counter table leads, in its fixed order.
+        ASSERT_GE(names.size(), std::size(kScrapeTable)) << text;
+        for (std::size_t i = 0; i < std::size(kScrapeTable); ++i)
+            EXPECT_EQ(names[i], kScrapeTable[i].first);
+        EXPECT_EQ(names.size() > std::size(kScrapeTable), obs_on)
+            << text;
+    }
 }
 
 TEST(Server, GracefulStopAnswersInFlightSessionsWithShutdown)
 {
     const auto bytes =
         readFileBytes(goldenPath(golden::kCaptureFile));
+    const MetricsOn metrics;
     ServerFixture fixture;
     Client client;
     std::string error;
@@ -519,6 +592,19 @@ TEST(Server, GracefulStopAnswersInFlightSessionsWithShutdown)
     const ServerStats stats = fixture.server().stats();
     EXPECT_EQ(stats.sessionsCompleted, 0u);
     EXPECT_EQ(stats.sessionsRejected, 1u);
+
+    // The obs mirror agrees with the per-server ledger, stop()'s
+    // Shutdown reply included.
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().scrape();
+    for (const auto &[name, field] : kScrapeTable) {
+        const bool gauge = snap.gauges.count(name) != 0;
+        ASSERT_TRUE(gauge || snap.counters.count(name) != 0) << name;
+        const uint64_t mirrored =
+            gauge ? static_cast<uint64_t>(snap.gauges.at(name))
+                  : snap.counters.at(name);
+        EXPECT_EQ(mirrored, stats.*field) << name;
+    }
 }
 
 TEST(Server, StopIsIdempotentAndRestartWorks)
