@@ -8,25 +8,24 @@
  * whatever slices the network delivers and emits decoded samples as
  * soon as each chunk's bytes are complete:
  *
- *     FileHeader → [ChunkHeader + payload]* → footer (skipped)
+ *     FileHeader → [ChunkHeader + payload]* → index entry* → tail
  *
- * Every integrity check of the on-disk reader is applied on the fly —
- * header magic/version/CRC, per-chunk CRC32C over header + payload,
- * codec plausibility — so a corrupted or hostile upload yields a typed
- * error at the first bad byte, never undefined behaviour, and never
- * more than one chunk of buffered payload (bounded memory per
- * session).
+ * The on-disk reader's checks are applied on the fly by calling them,
+ * not by repeating them: checkFileHeader, checkChunkHeader, chunkCrc
+ * and checkFooterTail from store/emcap_format.hpp.  A corrupted or
+ * hostile upload thus yields a typed error at the first bad byte,
+ * never undefined behaviour, and never more than one chunk of at most
+ * kMaxChunkSamples samples buffered (bounded memory per session).
  *
  * The header's totalSamples field tells the decoder where the chunk
  * region ends (the writer back-patches it on finalize, so any capture
- * a client can legitimately push has it).  Once that many samples are
- * decoded, the remaining bytes are the footer index + tail: they are
- * counted and their last four bytes tracked, and completeness is
- * checked at end-of-upload — the footer must be exactly
- * 24 bytes/chunk + 24 and end in the EMCF magic.  An upload cut short
- * anywhere (mid-chunk, mid-footer, before the footer) therefore fails
- * complete() with a reason, matching emprof_analyze's refusal to
- * analyse a truncated capture without --recover.
+ * a client can legitimately push has it).  Then come one 24-byte index
+ * entry per chunk, CRC'd as they pass, and the tail, which must carry
+ * the chunk count and a matching footer CRC; any byte after it is an
+ * error.  An upload cut short anywhere (mid-chunk, mid-footer, before
+ * the footer) fails complete() with a reason, matching
+ * emprof_analyze's refusal to analyse a truncated capture without
+ * --recover.
  */
 
 #ifndef EMPROF_SERVE_EMCAP_STREAM_HPP
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "dsp/types.hpp"
-#include "store/capture_reader.hpp"
 #include "store/emcap_format.hpp"
 
 namespace emprof::serve {
@@ -59,22 +57,22 @@ class EmcapStreamDecoder
               std::vector<dsp::Sample> &out,
               std::string *error = nullptr);
 
-    /** True once the 72-byte file header has been validated. */
-    bool headerReady() const { return headerReady_; }
+    /** True once the 72-byte file header has been validated (and so
+     *  declares at least one sample). */
+    bool headerReady() const { return info_.totalSamples != 0; }
 
     /** Capture metadata; valid once headerReady(). */
     const store::CaptureInfo &info() const { return info_; }
 
-    uint64_t samplesDecoded() const { return samplesDecoded_; }
-    uint64_t chunksDecoded() const { return chunksDecoded_; }
     uint64_t bytesConsumed() const { return bytesConsumed_; }
 
     /**
      * The highest element-aligned byte offset that is durably part of
      * the decode: everything before the element (file header, chunk,
-     * or footer byte) currently in flight.  This is the offset the
-     * resume handshake echoes — a reconnecting client re-sends from
-     * here and the decode continues as if never interrupted.
+     * index entry or footer tail) currently in flight.  This is the
+     * offset the resume handshake echoes — a reconnecting client
+     * re-sends from here and the decode continues as if never
+     * interrupted.
      */
     uint64_t resumableOffset() const
     {
@@ -98,7 +96,7 @@ class EmcapStreamDecoder
 
     /**
      * End-of-upload check: all declared samples decoded and a
-     * complete, EMCF-terminated footer seen.
+     * complete, CRC-checked footer seen.
      *
      * @retval false The upload was truncated or never got past the
      *         header; @p error names the missing piece.
@@ -112,12 +110,11 @@ class EmcapStreamDecoder
         ChunkHeader,
         ChunkPayload,
         Footer,
+        Done,
         Poisoned,
     };
 
     bool poison(std::string *error, const std::string &message);
-    bool onFileHeader(std::string *error);
-    bool onChunk(std::vector<dsp::Sample> &out, std::string *error);
 
     State state_ = State::FileHeader;
     std::string poisonReason_;
@@ -125,14 +122,13 @@ class EmcapStreamDecoder
     std::size_t need_ = sizeof(store::FileHeader);
 
     store::CaptureInfo info_;
-    bool headerReady_ = false;
     store::ChunkHeader chunkHeader_{};
 
     uint64_t samplesDecoded_ = 0;
     uint64_t chunksDecoded_ = 0;
     uint64_t bytesConsumed_ = 0;
-    uint64_t footerBytes_ = 0;
-    uint8_t tail4_[4] = {0, 0, 0, 0}; ///< last four bytes seen
+    uint64_t indexEntries_ = 0;
+    uint32_t indexCrc_ = 0; ///< crc32c of the footer index so far
 };
 
 } // namespace emprof::serve

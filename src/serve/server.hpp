@@ -24,7 +24,8 @@
  * polling that socket for reads at the high watermark; the kernel
  * socket buffer then fills and the sender's write() blocks — flow
  * control all the way back to the device, with per-session memory
- * capped at queue budget + one span + halo (see session_pipeline.hpp).
+ * capped at queue budget + halo + one span + one chunk of at most
+ * store::kMaxChunkSamples samples (see session_pipeline.hpp).
  * Reads resume once the pump drains below half the budget.
  *
  * Failure containment: a malformed frame or bad EMCAP stream yields a

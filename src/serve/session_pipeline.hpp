@@ -22,8 +22,10 @@
  *
  * Peak memory per session is therefore
  *     halo + spanSamples + (one decoded EMCAP chunk)
- * samples, independent of capture length — this is the number the
- * server multiplies by its session limit to size its memory budget.
+ * samples, where one chunk is at most store::kMaxChunkSamples (the
+ * stream decoder rejects a larger chunk header before sizing anything)
+ * — independent of capture length, and the number the server
+ * multiplies by its session limit to size its memory budget.
  *
  * The pipeline is single-threaded by design: the server guarantees at
  * most one in-flight call per session (feeds are serialised through

@@ -57,65 +57,48 @@ CaptureReader::fail(std::string *error, const std::string &message) const
 }
 
 bool
-CaptureReader::loadHeader(FileHeader &header, std::string *error)
+CaptureReader::openHeader(const std::string &path, uint64_t minBytes,
+                          std::string *error)
 {
-    if (!preadAt(0, &header, sizeof(header), "file header", error))
-        return false;
-    if (std::memcmp(header.magic, kEmcapMagic, sizeof(kEmcapMagic)) != 0)
-        return fail(error, "bad magic: not an EMCAP file");
-    if (header.version != kEmcapVersion)
-        return fail(error, "unsupported EMCAP version");
-    if (crc32c(0, &header, offsetof(FileHeader, headerCrc)) !=
-        header.headerCrc)
-        return fail(error, "file header CRC mismatch");
-    if (header.codec != static_cast<uint32_t>(SampleCodec::F32) &&
-        header.codec != static_cast<uint32_t>(SampleCodec::QuantI16))
-        return fail(error, "unknown sample codec");
-    return true;
+    close();
+    if (!file_.open(path, common::io::CheckedFile::Mode::Read))
+        return fail(error, "cannot open " + path + ": " +
+                               file_.error().describe());
+    if (!file_.size(fileSize_, "stat"))
+        return fail(error, "cannot stat " + path);
+    if (fileSize_ < minBytes)
+        return fail(error, "file too short to be an EMCAP capture");
+    FileHeader header{};
+    return preadAt(0, &header, sizeof(header), "file header", error) &&
+           checkFileHeader(header, info_, error);
 }
 
 bool
 CaptureReader::open(const std::string &path, std::string *error)
 {
-    close();
-    if (!file_.open(path, common::io::CheckedFile::Mode::Read)) {
-        const std::string why = file_.error().describe();
-        close();
-        return fail(error, "cannot open " + path + ": " + why);
-    }
-
+    std::string why;
     const auto bail = [&](const std::string &message) {
         close();
         return fail(error, message);
     };
-
-    if (!file_.size(fileSize_, "stat"))
-        return bail("cannot stat " + path);
-    if (fileSize_ < sizeof(FileHeader) + sizeof(FooterTail))
-        return bail("file too short to be an EMCAP capture");
-
-    FileHeader header{};
-    std::string header_error;
-    if (!loadHeader(header, &header_error))
-        return bail(header_error);
+    if (!openHeader(path, sizeof(FileHeader) + sizeof(FooterTail), &why))
+        return bail(why);
 
     FooterTail tail{};
     if (!preadAt(fileSize_ - sizeof(tail), &tail, sizeof(tail),
-                 "footer tail", error)) {
-        close();
-        return false;
-    }
-    if (std::memcmp(tail.magic, kFooterMagic, sizeof(kFooterMagic)) != 0)
-        return bail("bad footer magic (truncated file? try recovery)");
+                 "footer tail", &why))
+        return bail(why);
 
     // Each chunk needs >= 20 bytes of body plus its 24-byte index
-    // entry, which bounds the plausible chunk count before we allocate.
+    // entry, which bounds the plausible chunk count before we allocate
+    // (a torn file, whose "tail" is chunk bytes, usually stops here).
     const uint64_t non_chunk_bytes =
         sizeof(FileHeader) + sizeof(FooterTail);
     if (tail.chunkCount >
         (fileSize_ - non_chunk_bytes) /
             (sizeof(ChunkHeader) + sizeof(ChunkIndexEntry)))
-        return bail("footer chunk count impossible for file size");
+        return bail("footer chunk count impossible for file size "
+                    "(truncated? try recovery)");
 
     const uint64_t index_bytes =
         tail.chunkCount * sizeof(ChunkIndexEntry);
@@ -125,17 +108,12 @@ CaptureReader::open(const std::string &path, std::string *error)
     index_.resize(static_cast<std::size_t>(tail.chunkCount));
     if (index_bytes != 0 &&
         !preadAt(footer_start, index_.data(), index_bytes,
-                 "footer index", error)) {
-        close();
-        return false;
-    }
+                 "footer index", &why))
+        return bail(why);
 
-    uint32_t crc = crc32c(0, index_.data(), index_bytes);
-    crc = crc32c(crc, &tail, offsetof(FooterTail, footerCrc));
-    if (crc != tail.footerCrc)
-        return bail("footer CRC mismatch");
-    if (tail.totalSamples != header.totalSamples)
-        return bail("header/footer sample counts disagree");
+    if (!checkFooterTail(tail, crc32c(0, index_.data(), index_bytes),
+                         info_.totalSamples, &why))
+        return bail(why);
 
     // The chunk stream must tile [header, footer) exactly.
     uint64_t offset = sizeof(FileHeader);
@@ -144,6 +122,7 @@ CaptureReader::open(const std::string &path, std::string *error)
         if (entry.fileOffset != offset ||
             entry.firstSample != samples ||
             entry.sampleCount == 0 ||
+            entry.sampleCount > kMaxChunkSamples ||
             entry.storedBytes < sizeof(ChunkHeader))
             return bail("footer index inconsistent");
         offset += entry.storedBytes;
@@ -152,15 +131,6 @@ CaptureReader::open(const std::string &path, std::string *error)
     if (offset != footer_start || samples != tail.totalSamples)
         return bail("chunks do not tile the file");
 
-    info_.version = header.version;
-    info_.codec = static_cast<SampleCodec>(header.codec);
-    info_.quantBits = header.quantBits;
-    info_.sampleRateHz = header.sampleRateHz;
-    info_.clockHz = header.clockHz;
-    info_.deviceName.assign(
-        header.deviceName,
-        ::strnlen(header.deviceName, sizeof(header.deviceName)));
-    info_.totalSamples = header.totalSamples;
     // Device names are user input: the JSON export escapes them, which
     // is exactly what the obs escaping tests pin down.
     obs::MetricsRegistry::instance().setLabel("store.device",
@@ -173,30 +143,14 @@ CaptureReader::openRecovered(const std::string &path,
                              RecoveryReport *report, std::string *error)
 {
     EMPROF_OBS_STAGE("store.recover");
-    close();
-    if (!file_.open(path, common::io::CheckedFile::Mode::Read)) {
-        const std::string why = file_.error().describe();
-        close();
-        return fail(error, "cannot open " + path + ": " + why);
-    }
-
-    const auto bail = [&](const std::string &message) {
-        close();
-        return fail(error, message + "; nothing recoverable");
-    };
-
-    if (!file_.size(fileSize_, "stat"))
-        return bail("cannot stat " + path);
-
     // The 72-byte header is written first, before any chunk, and never
     // moves; without it there is no sample rate, codec or quantiser to
     // decode chunks with.
-    if (fileSize_ < sizeof(FileHeader))
-        return bail("file shorter than the EMCAP header");
-    FileHeader header{};
     std::string header_error;
-    if (!loadHeader(header, &header_error))
-        return bail(header_error);
+    if (!openHeader(path, sizeof(FileHeader), &header_error)) {
+        close();
+        return fail(error, header_error + "; nothing recoverable");
+    }
 
     // Walk the chunk stream from the front.  A chunk counts as
     // salvaged only if its full header + payload are present and the
@@ -213,30 +167,18 @@ CaptureReader::openRecovered(const std::string &path,
             break;
         }
         ChunkHeader chunk{};
-        std::string io_error;
         if (!preadAt(offset, &chunk, sizeof(chunk), "chunk header",
-                     &io_error)) {
-            stop_reason = io_error;
+                     &stop_reason))
             break;
-        }
-        if (chunk.sampleCount == 0) {
-            stop_reason = "empty chunk (footer or torn write)";
-            break;
-        }
-        if (chunk.payloadBytes >
-            fileSize_ - offset - sizeof(ChunkHeader)) {
-            stop_reason = "truncated mid chunk payload";
+        if (!checkChunkHeader(chunk, &stop_reason)) {
+            stop_reason += " (footer, torn write, or corruption)";
             break;
         }
         payload.resize(chunk.payloadBytes);
         if (!preadAt(offset + sizeof(ChunkHeader), payload.data(),
-                     payload.size(), "chunk payload", &io_error)) {
-            stop_reason = io_error;
+                     payload.size(), "chunk payload", &stop_reason))
             break;
-        }
-        uint32_t crc = crc32c(0, &chunk, offsetof(ChunkHeader, crc));
-        crc = crc32c(crc, payload.data(), payload.size());
-        if (crc != chunk.crc) {
+        if (chunkCrc(chunk, payload.data()) != chunk.crc) {
             countCrcFailure();
             stop_reason = "chunk CRC mismatch (footer, torn write, or "
                           "corruption)";
@@ -254,14 +196,6 @@ CaptureReader::openRecovered(const std::string &path,
         offset += entry.storedBytes;
     }
 
-    info_.version = header.version;
-    info_.codec = static_cast<SampleCodec>(header.codec);
-    info_.quantBits = header.quantBits;
-    info_.sampleRateHz = header.sampleRateHz;
-    info_.clockHz = header.clockHz;
-    info_.deviceName.assign(
-        header.deviceName,
-        ::strnlen(header.deviceName, sizeof(header.deviceName)));
     // The header's own count is untrustworthy here (a crashed capture
     // still carries the provisional 0); the scan is the truth.
     info_.totalSamples = samples;
@@ -338,9 +272,7 @@ CaptureReader::decodeChunk(std::size_t i, dsp::Sample *out,
         header.payloadBytes != payload_bytes)
         return fail(error, "chunk " + std::to_string(i) +
                                " header disagrees with footer index");
-    uint32_t crc = crc32c(0, &header, offsetof(ChunkHeader, crc));
-    crc = crc32c(crc, payload, payload_bytes);
-    if (crc != header.crc) {
+    if (chunkCrc(header, payload) != header.crc) {
         countCrcFailure();
         return fail(error,
                     "chunk " + std::to_string(i) + " CRC mismatch");

@@ -38,18 +38,6 @@
 
 namespace emprof::store {
 
-/** Decoded file-header metadata. */
-struct CaptureInfo
-{
-    uint32_t version = 0;
-    SampleCodec codec = SampleCodec::F32;
-    unsigned quantBits = 0;
-    double sampleRateHz = 0.0;
-    double clockHz = 0.0;
-    std::string deviceName;
-    uint64_t totalSamples = 0;
-};
-
 /** What openRecovered() managed to salvage. */
 struct RecoveryReport
 {
@@ -156,8 +144,10 @@ class CaptureReader
   private:
     bool fail(std::string *error, const std::string &message) const;
 
-    /** Read + fully validate the 72-byte file header. */
-    bool loadHeader(FileHeader &header, std::string *error);
+    /** Open @p path (at least @p minBytes long) and checkFileHeader()
+     *  its 72-byte header into info_; the caller close()s on failure. */
+    bool openHeader(const std::string &path, uint64_t minBytes,
+                    std::string *error);
 
     /**
      * decodeChunk() into @p out (room for the chunk's sample count),

@@ -26,8 +26,7 @@ makeHeader(const WriterOptions &options, uint64_t total_samples)
     header.totalSamples = total_samples;
     std::strncpy(header.deviceName, options.deviceName.c_str(),
                  sizeof(header.deviceName) - 1);
-    header.headerCrc =
-        crc32c(0, &header, offsetof(FileHeader, headerCrc));
+    header.headerCrc = fileHeaderCrc(header);
     return header;
 }
 
@@ -50,6 +49,7 @@ CaptureWriter::open(const std::string &path, const WriterOptions &options)
     failed_ = false;
     error_ = common::io::IoError{};
     if (options.chunkSamples == 0 ||
+        options.chunkSamples > kMaxChunkSamples ||
         (options.codec == SampleCodec::QuantI16 &&
          (options.quantBits < 2 || options.quantBits > 16)) ||
         (options.codec != SampleCodec::F32 &&
@@ -117,9 +117,7 @@ CaptureWriter::flushChunk()
     header.sampleCount = static_cast<uint32_t>(buffer_.size());
     header.payloadBytes = static_cast<uint32_t>(chunk.payload.size());
     header.scale = chunk.scale;
-    uint32_t crc = crc32c(0, &header, offsetof(ChunkHeader, crc));
-    crc = crc32c(crc, chunk.payload.data(), chunk.payload.size());
-    header.crc = crc;
+    header.crc = chunkCrc(header, chunk.payload.data());
 
     // The index entry records where the chunk actually starts; taking
     // the offset from the checked file (rather than a parallel counter)
@@ -172,10 +170,9 @@ CaptureWriter::finalize()
     FooterTail tail{};
     tail.chunkCount = index_.size();
     tail.totalSamples = stats_.samples;
-    uint32_t crc = crc32c(0, index_.data(),
-                          index_.size() * sizeof(ChunkIndexEntry));
-    crc = crc32c(crc, &tail, offsetof(FooterTail, footerCrc));
-    tail.footerCrc = crc;
+    tail.footerCrc = footerCrc(
+        crc32c(0, index_.data(), index_.size() * sizeof(ChunkIndexEntry)),
+        tail);
     std::memcpy(tail.magic, kFooterMagic, sizeof(kFooterMagic));
 
     const FileHeader header = makeHeader(options_, stats_.samples);

@@ -80,7 +80,7 @@ class CaptureWriter
      *
      * @retval false The file could not be created (lastError() has the
      *         typed reason), or the options are unusable (quantBits
-     *         outside 2..16, chunkSamples 0).
+     *         outside 2..16, chunkSamples 0 or above kMaxChunkSamples).
      */
     bool open(const std::string &path, const WriterOptions &options);
 

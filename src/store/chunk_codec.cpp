@@ -292,8 +292,6 @@ decodeChunk(const uint8_t *payload, std::size_t payloadBytes,
             ChunkEncoding encoding, SampleCodec codec, float scale,
             std::size_t count, dsp::Sample *out)
 {
-    if (codec != SampleCodec::F32 && codec != SampleCodec::QuantI16)
-        return false;
     if (count == 0)
         return payloadBytes == 0;
 

@@ -62,6 +62,7 @@ EncodedChunk encodeChunk(const dsp::Sample *samples, std::size_t count,
 
 /**
  * Decode a chunk payload into exactly @p count samples at @p out.
+ * @p codec is F32 or QuantI16, as checkFileHeader() ensures.
  *
  * @retval false Malformed payload (wrong size, impossible bit width,
  *         truncated miniblock); @p out contents are unspecified.

@@ -17,6 +17,8 @@
  *
  * All multi-byte fields are little-endian; the structs below are the
  * format (as with .emsig, asserted by static_assert on their sizes).
+ * The functions at the end are its integrity rules, written once: the
+ * writer, CaptureReader and the served EmcapStreamDecoder all use them.
  */
 
 #ifndef EMPROF_STORE_EMCAP_FORMAT_HPP
@@ -24,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace emprof::store {
 
@@ -111,6 +114,50 @@ static_assert(sizeof(FooterTail) == 24, "footer layout is the format");
 
 /** Samples per chunk when the writer is not told otherwise. */
 constexpr std::size_t kDefaultChunkSamples = std::size_t{1} << 16;
+
+/** Most samples one chunk may declare (16x the default, 4 MiB of f32):
+ *  what bounds the sample buffer a reader sizes from a chunk header. */
+constexpr std::size_t kMaxChunkSamples = std::size_t{1} << 20;
+
+/** Decoded file-header metadata. */
+struct CaptureInfo
+{
+    uint32_t version = 0;
+    SampleCodec codec = SampleCodec::F32;
+    unsigned quantBits = 0;
+    double sampleRateHz = 0.0;
+    double clockHz = 0.0;
+    std::string deviceName;
+    uint64_t totalSamples = 0;
+};
+
+/** CRC32C over the header's first 68 bytes (all but headerCrc). */
+uint32_t fileHeaderCrc(const FileHeader &header);
+
+/** CRC32C over the chunk header's first 16 bytes, then its payload. */
+uint32_t chunkCrc(const ChunkHeader &header, const uint8_t *payload);
+
+/** CRC32C over the index entries (@p indexCrc: crc32c of them alone),
+ *  then the tail's first 16 bytes. */
+uint32_t footerCrc(uint32_t indexCrc, const FooterTail &tail);
+
+/**
+ * Magic, version, header CRC and codec, then fill @p info (totalSamples
+ * as stored: what a 0 means is the caller's rule).  Like each check
+ * below, on false it names the broken rule in @p error, if non-null.
+ */
+bool checkFileHeader(const FileHeader &header, CaptureInfo &info,
+                     std::string *error);
+
+/** 1..kMaxChunkSamples samples and at most 8 payload bytes per sample
+ *  + 64 (twice raw f32 plus slack; the encoder never writes more than
+ *  raw), checked before any buffer is sized from the header.  The CRC
+ *  needs the payload, so chunkCrc() comes after. */
+bool checkChunkHeader(const ChunkHeader &header, std::string *error);
+
+/** Magic, footerCrc(@p indexCrc, tail) and the header's sample count. */
+bool checkFooterTail(const FooterTail &tail, uint32_t indexCrc,
+                     uint64_t totalSamples, std::string *error);
 
 } // namespace emprof::store
 

@@ -300,6 +300,18 @@ TEST(CaptureStore, WriterRejectsUnusableOptions)
     opt.quantBits = 17;
     EXPECT_FALSE(writer.open(path, opt));
     opt.quantBits = 16;
+
+    // Above the format's chunk bound (2^32 would narrow to a chunk
+    // header declaring zero samples).
+    for (const std::size_t chunk :
+         {kMaxChunkSamples + 1, std::size_t{1} << 32}) {
+        opt.chunkSamples = chunk;
+        EXPECT_FALSE(writer.open(path, opt));
+        EXPECT_NE(writer.lastError().describe().find(
+                      "unusable writer options"),
+                  std::string::npos);
+    }
+    opt.chunkSamples = kMaxChunkSamples;
     EXPECT_TRUE(writer.open(path, opt));
     EXPECT_TRUE(writer.finalize());
     std::remove(path.c_str());

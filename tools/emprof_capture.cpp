@@ -75,7 +75,8 @@ usage(const char *argv0)
         "  --quantize-bits <n>  quantise samples to n bits (2..16;\n"
         "                       default 0 = lossless float32)\n"
         "  --no-compress        store chunks verbatim (no bit packing)\n"
-        "  --chunk-samples <n>  samples per chunk (default 65536)\n"
+        "  --chunk-samples <n>  samples per chunk (default 65536,\n"
+        "                       at most 1048576)\n"
         "%s",
         dsp::impairmentSpecHelp(), tools::ObsCli::kUsage);
 }
@@ -132,7 +133,7 @@ main(int argc, char **argv)
                                                 next(), 0, 16);
         else if (arg == "--chunk-samples")
             chunk_samples = tools::parseU64Flag(
-                "--chunk-samples", next(), 1, uint64_t{1} << 32);
+                "--chunk-samples", next(), 1, store::kMaxChunkSamples);
         else if (arg == "--no-compress")
             compress = false;
         else if (arg == "--out")

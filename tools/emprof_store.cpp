@@ -79,7 +79,8 @@ usage(const char *argv0)
         "EMCAP output options (convert, cut, and recover):\n"
         "  --quantize-bits <n>  0 = lossless f32 (default), 2..16\n"
         "  --no-compress        store chunks verbatim\n"
-        "  --chunk-samples <n>  samples per chunk (default 65536)\n"
+        "  --chunk-samples <n>  samples per chunk (default 65536,\n"
+        "                       at most 1048576)\n"
         "  --clock-ghz <f>      record a target clock in the header\n"
         "  --device <name>      record a device name in the header\n"
         "\n"
@@ -207,7 +208,7 @@ parseOptions(int argc, char **argv, int first, OutputOptions &opt)
                                                    next(), 0, 16);
         else if (arg == "--chunk-samples")
             opt.chunkSamples = tools::parseU64Flag(
-                "--chunk-samples", next(), 1, uint64_t{1} << 32);
+                "--chunk-samples", next(), 1, store::kMaxChunkSamples);
         else if (arg == "--no-compress")
             opt.compress = false;
         else if (arg == "--clock-ghz")
