@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "dsp/impairment.hpp"
 #include "dsp/rng.hpp"
 #include "dsp/types.hpp"
@@ -200,11 +201,12 @@ main(int argc, char **argv)
                  "  \"samples\": %zu,\n"
                  "  \"sample_rate_hz\": 40000000.0,\n"
                  "  \"timed_runs_per_mode\": %zu,\n"
+                 "  \"hardware_threads\": %zu,\n"
                  "  \"resilient_overhead_streaming\": %.4f,\n"
                  "  \"resilient_overhead_parallel\": %.4f,\n"
                  "  \"runs\": [\n",
-                 total, timed_runs, stream_on / stream_off,
-                 par_on / par_off);
+                 total, timed_runs, common::ThreadPool::hardwareThreads(),
+                 stream_on / stream_off, par_on / par_off);
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const auto &r = runs[i];
         std::fprintf(f,

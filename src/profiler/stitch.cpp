@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/huge_pages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
 #include "profiler/report.hpp"
@@ -120,6 +121,8 @@ ChunkStitcher::finalize(uint64_t totalSamples)
         for (const auto &piece : pieces_)
             total += piece.events.size() - piece.skip;
         result.events.reserve(total);
+        common::adviseHugePages(result.events.data(),
+                                total * sizeof(StallEvent));
         for (auto &piece : pieces_) {
             result.events.insert(
                 result.events.end(),

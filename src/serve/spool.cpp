@@ -394,6 +394,13 @@ ResultSpool::fetch(const SessionId &id, uint32_t &status,
         return fail(error, "spool record for session " +
                                sessionIdToHex(id) +
                                " is damaged (CRC mismatch)");
+    // A record that verifies but belongs elsewhere (another session's
+    // record moved over this one at rest) is damage too.
+    if (header.kind != static_cast<uint32_t>(SpoolRecordKind::Result) ||
+        std::memcmp(header.sessionId, id.data(), id.size()) != 0)
+        return fail(error, "spool record for session " +
+                               sessionIdToHex(id) +
+                               " is damaged (record of another session)");
     status = header.status;
     reportPayload = std::move(payload);
     return true;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/huge_pages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
 #include "store/chunk_codec.hpp"
@@ -309,6 +310,15 @@ CaptureReader::readRange(uint64_t first, uint64_t count,
     if (first + count < first || first + count > info_.totalSamples)
         return fail(error, "sample range exceeds capture");
 
+    if (count > out.capacity()) {
+        // Every sample is overwritten below, so drop the old contents
+        // instead of copying them, and advise the fresh pages before
+        // resize() first touches them (common/huge_pages.hpp).
+        std::vector<dsp::Sample>().swap(out);
+        out.reserve(static_cast<std::size_t>(count));
+        common::adviseHugePages(out.data(), out.capacity() *
+                                                sizeof(dsp::Sample));
+    }
     out.resize(static_cast<std::size_t>(count));
     if (count == 0)
         return true;

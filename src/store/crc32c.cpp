@@ -1,6 +1,7 @@
 #include "store/crc32c.hpp"
 
-#include <array>
+#include <cstdlib>
+#include <cstring>
 
 namespace emprof::store {
 
@@ -29,10 +30,44 @@ struct Tables
 
 constexpr Tables kTables{};
 
+using Kernel = uint32_t (*)(uint32_t, const void *, std::size_t);
+
+Kernel
+resolveKernel()
+{
+#if !defined(EMPROF_DISABLE_SIMD)
+    const char *env = std::getenv("EMPROF_SIMD");
+    if (detail::cpuHasSse42() &&
+        (env == nullptr || std::strcmp(env, "scalar") != 0))
+        return detail::crc32cSse42;
+#endif
+    return detail::crc32cTable;
+}
+
 } // namespace
 
 uint32_t
 crc32c(uint32_t crc, const void *data, std::size_t len)
+{
+    static const Kernel kernel = resolveKernel();
+    return kernel(crc, data, len);
+}
+
+namespace detail {
+
+bool
+cpuHasSse42()
+{
+#if !defined(EMPROF_DISABLE_SIMD) && defined(__GNUC__) && \
+    defined(__x86_64__)
+    return __builtin_cpu_supports("sse4.2") != 0;
+#else
+    return false;
+#endif
+}
+
+uint32_t
+crc32cTable(uint32_t crc, const void *data, std::size_t len)
 {
     const auto *p = static_cast<const uint8_t *>(data);
     crc = ~crc;
@@ -63,5 +98,7 @@ crc32c(uint32_t crc, const void *data, std::size_t len)
     }
     return ~crc;
 }
+
+} // namespace detail
 
 } // namespace emprof::store

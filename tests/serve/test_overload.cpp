@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "../e2e/golden_common.hpp"
+#include "scratch_dir.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/governor.hpp"
@@ -101,17 +101,6 @@ expectEventsBitExact(const std::vector<profiler::StallEvent> &expected,
                   golden::doubleBits(a.stallCycles))
             << label << " #" << i;
     }
-}
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_overload_" + tag +
-                      "_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 /** RAII server on a per-test unix socket, keeping the caller's
@@ -772,8 +761,9 @@ TEST(Overload, SpoolEnospcDegradesToNonDurableServing)
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
+    const test::ScratchDir spool("overload_enospc");
     ServerConfig config;
-    config.spoolDir = freshDir("enospc");
+    config.spoolDir = spool.path();
     ServerFixture fixture(config);
 
     {

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "../e2e/golden_common.hpp"
+#include "scratch_dir.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -117,17 +117,6 @@ expectReportsBitExact(const DecodedReport &expected,
         << label;
     expectEventsBitExact(expected.events, actual.events, label);
     EXPECT_EQ(expected.reportText, actual.reportText) << label;
-}
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_resume_" + tag +
-                      "_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    std::filesystem::create_directories(dir);
-    return dir;
 }
 
 /** RAII server on a per-test unix socket (same shape as
@@ -498,7 +487,8 @@ TEST(Resume, SpooledReportSurvivesDaemonRestartBitIdentically)
     const auto expected = loadExpected();
     ASSERT_FALSE(expected.empty());
 
-    const std::string spoolDir = freshDir("spool");
+    const test::ScratchDir spool("resume_spool");
+    const std::string &spoolDir = spool.path();
     DecodedReport original;
     SessionId id{};
     {
@@ -580,7 +570,8 @@ TEST(Resume, RestartMidUploadFallsBackToFreshAndStaysBitIdentical)
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
-    const std::string spoolDir = freshDir("midrestart");
+    const test::ScratchDir spool("resume_midrestart");
+    const std::string &spoolDir = spool.path();
     SessionId id{};
     {
         ServerConfig config;
@@ -624,8 +615,9 @@ TEST(Resume, PushResumableRidesThroughInjectedDrop)
     ASSERT_FALSE(bytes.empty());
     const auto expected = loadExpected();
 
+    const test::ScratchDir spool("resume_pushdrop");
     ServerConfig config;
-    config.spoolDir = freshDir("pushdrop");
+    config.spoolDir = spool.path();
     ServerFixture fixture(config);
 
     Client client;

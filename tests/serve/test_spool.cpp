@@ -7,17 +7,15 @@
  * detection on fetch.
  */
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
+#include "scratch_dir.hpp"
 #include "serve/spool.hpp"
 
 using namespace emprof;
@@ -26,18 +24,6 @@ using namespace emprof::serve;
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-freshDir(const char *tag)
-{
-    static std::atomic<int> counter{0};
-    std::string dir = testing::TempDir() + "emprof_spool_" +
-                      std::string(tag) + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1));
-    fs::create_directories(dir);
-    return dir;
-}
 
 SessionId
 makeId(uint8_t seed)
@@ -104,9 +90,10 @@ onlySegment(const std::string &dir)
 
 TEST(Spool, AppendFetchListRoundTrip)
 {
+    const test::ScratchDir dir("spool_roundtrip");
     ResultSpool spool;
     ResultSpool::Options options;
-    options.dir = freshDir("roundtrip");
+    options.dir = dir.path();
     std::string error;
     ASSERT_TRUE(spool.open(options, &error)) << error;
 
@@ -146,8 +133,9 @@ TEST(Spool, AppendFetchListRoundTrip)
 
 TEST(Spool, AckIsTypedAndSurvivesReopen)
 {
+    const test::ScratchDir dir("spool_ack");
     ResultSpool::Options options;
-    options.dir = freshDir("ack");
+    options.dir = dir.path();
     std::string error;
     {
         ResultSpool spool;
@@ -191,7 +179,8 @@ TEST(Spool, EveryByteTruncationRecoversLongestValidPrefix)
     // against every possible crash point (file truncated at byte N).
     const auto p1 = makePayload(40, 0x44);
     const auto p2 = makePayload(60, 0x55);
-    const std::string refDir = freshDir("truncref");
+    const test::ScratchDir ref("spool_truncref");
+    const std::string &refDir = ref.path();
     std::string error;
     {
         ResultSpool spool;
@@ -208,7 +197,8 @@ TEST(Spool, EveryByteTruncationRecoversLongestValidPrefix)
         r1End + sizeof(SpoolRecordHeader) + p2.size();
     ASSERT_EQ(segment.size(), r2End);
 
-    const std::string sweepDir = freshDir("truncsweep");
+    const test::ScratchDir sweep("spool_truncsweep");
+    const std::string &sweepDir = sweep.path();
     const std::string sweepSegment = sweepDir + "/spool-0.emspool";
     for (std::size_t cut = 0; cut <= segment.size(); ++cut) {
         writeFileBytes(sweepSegment,
@@ -250,8 +240,9 @@ TEST(Spool, EveryByteTruncationRecoversLongestValidPrefix)
 
 TEST(Spool, ReopenNeverExtendsATornTail)
 {
+    const test::ScratchDir dir("spool_torntail");
     ResultSpool::Options options;
-    options.dir = freshDir("torntail");
+    options.dir = dir.path();
     std::string error;
     {
         ResultSpool spool;
@@ -290,9 +281,10 @@ TEST(Spool, ReopenNeverExtendsATornTail)
 
 TEST(Spool, RetentionExpiresOldestUnacked)
 {
+    const test::ScratchDir dir("spool_retention");
     ResultSpool spool;
     ResultSpool::Options options;
-    options.dir = freshDir("retention");
+    options.dir = dir.path();
     options.maxResults = 2;
     std::string error;
     ASSERT_TRUE(spool.open(options, &error)) << error;
@@ -317,9 +309,10 @@ TEST(Spool, RetentionExpiresOldestUnacked)
 
 TEST(Spool, GcReclaimsFullyAckedSegments)
 {
+    const test::ScratchDir dir("spool_gc");
     ResultSpool spool;
     ResultSpool::Options options;
-    options.dir = freshDir("gc");
+    options.dir = dir.path();
     options.segmentBytes = 1; // every record rotates to its own file
     std::string error;
     ASSERT_TRUE(spool.open(options, &error)) << error;
@@ -346,9 +339,10 @@ TEST(Spool, GcReclaimsFullyAckedSegments)
 
 TEST(Spool, FetchDetectsDamageAtRest)
 {
+    const test::ScratchDir dir("spool_damage");
     ResultSpool spool;
     ResultSpool::Options options;
-    options.dir = freshDir("damage");
+    options.dir = dir.path();
     std::string error;
     ASSERT_TRUE(spool.open(options, &error)) << error;
     const auto payload = makePayload(128, 0x66);

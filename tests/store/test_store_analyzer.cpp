@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "dsp/rng.hpp"
 #include "profiler/parallel_analyzer.hpp"
@@ -184,6 +186,46 @@ TEST(StoreAnalyzer, EmptyInputMatchesStreaming)
             EXPECT_EQ(capture.report.toText("report"), text);
         }
     }
+    std::remove(path.c_str());
+}
+
+TEST(StoreAnalyzer, ReadRangeGivesTheSameBitsIntoFreshAndReusedBuffers)
+{
+    // Above 2 MiB of samples, so a fresh buffer takes the huge-page
+    // advised allocation; a buffer that already has the capacity is
+    // overwritten in place.  Both must hold the stored bits exactly.
+    const std::size_t total = 1200000;
+    const auto sig = busySignalWithDips(total, 5);
+    const auto path = writeEmcap(sig, "reuse.emcap", 65536);
+    store::CaptureReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, &error)) << error;
+
+    const auto bitsEqual = [](const std::vector<dsp::Sample> &got,
+                              const dsp::Sample *want, std::size_t n) {
+        return got.size() == n &&
+               std::memcmp(got.data(), want, n * sizeof(dsp::Sample)) == 0;
+    };
+    std::vector<dsp::Sample> reused(total + 4096, -7.0f);
+    const std::size_t ranges[][2] = {
+        {0, total}, {1, total - 1}, {70000, 1000000}, {65536, 65536}};
+    for (const auto &range : ranges) {
+        const std::size_t first = range[0], count = range[1];
+        SCOPED_TRACE(::testing::Message()
+                     << "first=" << first << " count=" << count);
+        std::vector<dsp::Sample> fresh;
+        ASSERT_TRUE(reader.readRange(first, count, fresh, &error)) << error;
+        EXPECT_TRUE(bitsEqual(fresh, sig.samples.data() + first, count));
+
+        const std::size_t capacity = reused.capacity();
+        ASSERT_TRUE(reader.readRange(first, count, reused, &error)) << error;
+        EXPECT_EQ(reused.capacity(), capacity);
+        EXPECT_TRUE(bitsEqual(reused, sig.samples.data() + first, count));
+    }
+
+    dsp::TimeSeries all;
+    ASSERT_TRUE(reader.readAll(all, &error)) << error;
+    EXPECT_TRUE(bitsEqual(all.samples, sig.samples.data(), total));
     std::remove(path.c_str());
 }
 
